@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="report CSV path (default stdout)")
     p_verify.add_argument("--no-timestamp", action="store_true")
     p_verify.add_argument("--workers", type=int, default=None,
-                          help="parallel workers (capped by HARMONIA_THREADS)")
+                          help="parallel workers (capped by HARMONIA_THREADS and the CPU count)")
     p_verify.add_argument("--input", default=None,
                           help="check one model/joint file instead of sweeping")
     p_verify.add_argument("--witness-dir", default=None)

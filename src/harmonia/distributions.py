@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -181,7 +182,7 @@ class VarSet:
 
     def sorted(self) -> "VarSet":
         """Canonical order: head first, then dependents by index."""
-        return VarSet(tuple(builtins_sorted(self._vars)))
+        return VarSet(tuple(sorted(self._vars)))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -189,10 +190,6 @@ class VarSet:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return "{" + ", ".join(self.names) + "}"
-
-
-# `sorted` is shadowed inside VarSet.sorted; keep a module-level alias.
-builtins_sorted = sorted
 
 
 def dep_range(first: int, last: int) -> VarSet:
@@ -278,6 +275,11 @@ class FactoredModel:
             for t in self.cond_tables[1:]
         )
 
+    @cached_property
+    def joint(self) -> "JointTable":
+        """The exact joint table, built on first use and shared by every later query."""
+        return build_joint(self)
+
 
 def _check_distribution(p: np.ndarray, shape: tuple[int, ...], what: str) -> None:
     if p.shape != shape:
@@ -297,12 +299,20 @@ def _check_distribution(p: np.ndarray, shape: tuple[int, ...], what: str) -> Non
 
 @dataclass(frozen=True, eq=False)
 class JointTable:
-    """A dense joint distribution over an ordered tuple of variables."""
+    """A dense joint distribution over an ordered tuple of variables.
+
+    Every information measure is arithmetic on :meth:`entropy_of`, the entropy
+    of a subset of the axes, which each table memoises as it is asked for.
+    """
 
     variables: tuple[Variable, ...]
     alphabets: tuple[Alphabet, ...]
     probs: np.ndarray = field(repr=False)
     max_cells: int = MAX_JOINT_CELLS
+    #: Subset entropies by axis bitmask; floats only, filled on demand.
+    _entropies: dict[int, float] = field(
+        default_factory=lambda: {0: 0.0}, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
@@ -350,6 +360,23 @@ class JointTable:
         return VarSet(self.variables)
 
     # -- operations ----------------------------------------------------------
+
+    def entropy_of(self, mask: int) -> float:
+        """Entropy, in nats, of the marginal over the axes set in ``mask``.
+
+        Bit ``i`` of ``mask`` selects axis ``i``; the empty mask has entropy 0.
+        The other axes of ``probs`` are summed away directly, and the result
+        is memoised by mask, so asking for a subset again costs a lookup.
+        """
+        h = self._entropies.get(mask)
+        if h is None:
+            drop = tuple(i for i in range(self.probs.ndim) if not mask >> i & 1)
+            p = self.probs.sum(axis=drop) if drop else self.probs
+            p = p[p > 0.0]
+            terms = np.log(p)
+            terms *= p
+            h = self._entropies[mask] = -float(terms.sum())
+        return h
 
     def marginal(self, keep: VarSet | Variable | Iterable[Variable]) -> "JointTable":
         """Marginal over ``keep``; axis order of the result follows ``keep``.
@@ -433,7 +460,7 @@ def build_joint(model: FactoredModel, max_cells: int | None = None) -> JointTabl
 
 @dataclass(frozen=True)
 class Witness:
-    """Cell achieving the worst factorisation violation."""
+    """The pairwise cell farthest from independence given the head (a diagnostic)."""
 
     head_value: int
     pair: tuple[Variable, Variable]
@@ -442,7 +469,10 @@ class Witness:
 
 @dataclass(frozen=True)
 class CondIndepReport:
-    """Result of checking pairwise conditional independence of dependents given the head."""
+    """Result of checking that the dependents are independent given the head.
+
+    ``max_violation`` is the total correlation given the head, in nats.
+    """
 
     holds: bool
     max_violation: float
@@ -451,11 +481,17 @@ class CondIndepReport:
 
 
 def check_factorization(joint: JointTable, tol: float = 1e-9) -> CondIndepReport:
-    """Check that dependents are pairwise independent given the head.
+    """Check that the dependents are mutually independent given the head.
 
-    For every head value of positive probability and every dependent pair,
-    compares the pairwise conditional against the product of its own
-    marginals.  A single dependent is vacuously independent.
+    The measure is the total correlation given the head (Watanabe 1960),
+    sum_i H(dep_i | head) - H(deps | head), in nats.  It is zero exactly when
+    the joint factors as p(head) prod_i p(dep_i | head), including the cases
+    that pairwise comparisons miss, such as a third dependent that is the xor
+    of two others.  A single dependent is vacuously independent.
+
+    When the check fails, ``witness`` names the pairwise cell with the largest
+    |p(a, b | head) - p(a | head) p(b | head)|; it stays None when no pair of
+    dependents shows a gap.
     """
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
@@ -464,6 +500,14 @@ def check_factorization(joint: JointTable, tol: float = 1e-9) -> CondIndepReport
     deps = [v for v in joint.variables if not v.is_head]
     if len(deps) < 2:
         return CondIndepReport(holds=True, max_violation=0.0, tolerance=tol, witness=None)
+
+    head = 1 << joint.axis_of(HEAD)
+    h_head = joint.entropy_of(head)
+    total = sum(joint.entropy_of(head | 1 << joint.axis_of(v)) - h_head for v in deps)
+    total -= joint.entropy_of((1 << len(joint.variables)) - 1) - h_head
+    violation = max(total, 0.0)
+    if violation <= tol:
+        return CondIndepReport(holds=True, max_violation=violation, tolerance=tol, witness=None)
 
     head_marg = joint.marginal(VarSet((HEAD,))).probs
     worst = 0.0
@@ -482,4 +526,4 @@ def check_factorization(joint: JointTable, tol: float = 1e-9) -> CondIndepReport
                 ia, ib = np.unravel_index(int(np.argmax(gap)), gap.shape)
                 worst = g
                 witness = Witness(head_value=l, pair=(a, b), values=(int(ia), int(ib)))
-    return CondIndepReport(holds=worst <= tol, max_violation=worst, tolerance=tol, witness=witness)
+    return CondIndepReport(holds=False, max_violation=violation, tolerance=tol, witness=witness)

@@ -1,21 +1,28 @@
 """Exact information measures over dense joint tables.
 
-All quantities are in nats and are computed by direct summation over the
-table, with the ``0 * log 0 = 0`` convention.  Tiny negative results from
-floating-point cancellation (within ``CLAMP_BAND`` of zero) are clamped to
-exactly 0.0 so that downstream comparisons never see ``-1e-17``-style noise.
+All quantities are in nats and are arithmetic on subset entropies of one
+table (``JointTable.entropy_of``, memoised per table), as in Cover & Thomas,
+*Elements of Information Theory*, ch. 2::
 
-Symmetry of mutual information is bit-exact, not merely approximate: the
-union of the two variable sets is always marginalised in canonical variable
-order, and the only asymmetric step would be the product of the two factor
-marginals, which commutes exactly in IEEE floating point.
+    I(X; Y)     = H(X) + H(Y) - H(XY)
+    I(X; Y | Z) = H(XZ) + H(YZ) - H(XYZ) - H(Z)
+
+Entropies follow the ``0 * log 0 = 0`` convention.  Tiny negative results
+from floating-point cancellation (within ``CLAMP_BAND`` of zero) are clamped
+to exactly 0.0 so that downstream comparisons never see ``-1e-17``-style
+noise.
+
+Symmetry of mutual information is bit-exact by construction: swapping X and
+Y swaps the two leading terms, and IEEE addition commutes.  Identities that
+hold by construction prove nothing about the table, so
+``direct_mutual_information`` keeps an independent path, a direct summation
+over the marginal, for the checks that compare against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable
 
 import numpy as np
@@ -50,51 +57,58 @@ def _clamp(value: float) -> float:
     return value
 
 
-def _as_sets(joint: JointTable, *groups) -> list[VarSet]:
-    out = [VarSet.coerce(g) for g in groups]
-    for vs in out:
+def _masks(joint: JointTable, *groups) -> list[int]:
+    """One axis bitmask per group, after checking the groups are non-empty,
+    pairwise disjoint and made of the table's variables."""
+    masks: list[int] = []
+    seen = 0
+    for group in groups:
+        vs = VarSet.coerce(group)
         if len(vs) == 0:
             raise ValidationError("variable set must be non-empty")
+        mask = 0
         for v in vs:
-            joint.axis_of(v)  # raises if missing
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            if not out[i].is_disjoint(out[j]):
-                raise ValidationError(
-                    f"variable sets must be disjoint, got {out[i]!r} and {out[j]!r}"
-                )
-    return out
+            mask |= 1 << joint.axis_of(v)  # raises if missing
+        if mask & seen:
+            raise ValidationError(
+                f"variable sets must be disjoint, {vs!r} overlaps an earlier set"
+            )
+        seen |= mask
+        masks.append(mask)
+    return masks
 
 
 def entropy(joint: JointTable, subset: VarSet | Variable | Iterable[Variable]) -> Nats:
     """Shannon entropy of the marginal over ``subset``, in nats."""
-    (vs,) = _as_sets(joint, subset)
-    p = joint.marginal(vs.sorted()).probs
-    mask = p > 0.0
-    return _clamp(float(-(p[mask] * np.log(p[mask])).sum()))
+    (mask,) = _masks(joint, subset)
+    return joint.entropy_of(mask)
 
 
-def _mi_of_array(p: np.ndarray, x_axes: tuple[int, ...], y_axes: tuple[int, ...]) -> float:
-    """MI between two axis groups of a normalised array covering all axes."""
-    px = p.sum(axis=y_axes, keepdims=True)
-    py = p.sum(axis=x_axes, keepdims=True)
+def direct_mutual_information(
+    joint: JointTable,
+    x: VarSet | Variable | Iterable[Variable],
+    y: VarSet | Variable | Iterable[Variable],
+) -> Nats:
+    """I(X; Y) summed directly as p log(p / (p_x p_y)) over the marginal of X and Y.
+
+    The reference path: it never reads the entropy table, so checks of
+    identities that the table satisfies by construction (symmetry, the chain
+    rule) still compare two independent computations.  It is symmetric bit
+    for bit, because the only asymmetric step, ``p_x * p_y``, commutes in
+    IEEE arithmetic.
+    """
+    mx, my = _masks(joint, x, y)
+    keep = [i for i in range(joint.probs.ndim) if (mx | my) >> i & 1]
+    drop = tuple(i for i in range(joint.probs.ndim) if i not in keep)
+    p = joint.probs.sum(axis=drop) if drop else joint.probs
+    px = p.sum(axis=tuple(a for a, i in enumerate(keep) if my >> i & 1), keepdims=True)
+    py = p.sum(axis=tuple(a for a, i in enumerate(keep) if mx >> i & 1), keepdims=True)
     mask = p > 0.0
     terms = np.zeros_like(p)
-    # px * py commutes bit-exactly, so swapping the roles of x and y cannot
-    # change the result.
     np.divide(p, px * py, out=terms, where=mask)
     np.log(terms, out=terms, where=mask)
     terms *= p
-    return float(terms[mask].sum())
-
-
-def _mi_raw(joint: JointTable, x: VarSet, y: VarSet) -> float:
-    both = (x | y).sorted()
-    sub = joint.marginal(both).probs
-    order = tuple(both)
-    x_axes = tuple(i for i, v in enumerate(order) if v in x)
-    y_axes = tuple(i for i, v in enumerate(order) if v in y)
-    return _mi_of_array(sub, x_axes, y_axes)
+    return _clamp(float(terms[mask].sum()))
 
 
 def mutual_information(
@@ -103,13 +117,14 @@ def mutual_information(
     y: VarSet | Variable | Iterable[Variable],
     clamp: bool = True,
 ) -> Nats:
-    """Mutual information between disjoint variable sets, in nats.
+    """Mutual information between disjoint variable sets, in nats:
+    I(X; Y) = H(X) + H(Y) - H(XY).
 
-    ``clamp=False`` exposes the raw summation result (useful for asserting
-    that rounding noise stays within ``CLAMP_BAND``).
+    ``clamp=False`` exposes the raw result (useful for asserting that
+    rounding noise stays within ``CLAMP_BAND``).
     """
-    xs, ys = _as_sets(joint, x, y)
-    value = _mi_raw(joint, xs, ys)
+    mx, my = _masks(joint, x, y)
+    value = joint.entropy_of(mx) + joint.entropy_of(my) - joint.entropy_of(mx | my)
     return _clamp(value) if clamp else value
 
 
@@ -119,37 +134,18 @@ def conditional_mutual_information(
     y: VarSet | Variable | Iterable[Variable],
     z: VarSet | Variable | Iterable[Variable] = (),
 ) -> Nats:
-    """I(X; Y | Z) in nats, computed by slicing on each value of Z.
+    """I(X; Y | Z) = H(XZ) + H(YZ) - H(XYZ) - H(Z), in nats.
 
-    An empty ``Z`` reduces to plain mutual information.  Zero-probability
-    values of Z contribute nothing and are skipped, which keeps the measure
-    well defined even when the conditioning marginal has structural zeros.
+    An empty ``Z`` reduces to plain mutual information.  Values of Z with
+    probability zero contribute nothing to any of the four entropies, so
+    structural zeros in the conditioning marginal need no special care.
     """
     z = VarSet.coerce(z)
     if len(z) == 0:
         return mutual_information(joint, x, y)
-    xs, ys, zs = _as_sets(joint, x, y, z)
-
-    every = (xs | ys | zs).sorted()
-    sub = joint.marginal(every)
-    order = tuple(every)
-    z_axes = tuple(i for i, v in enumerate(order) if v in zs)
-    keep_axes = tuple(i for i in range(len(order)) if i not in z_axes)
-    x_axes = tuple(keep_axes.index(i) for i, v in enumerate(order) if v in xs)
-    y_axes = tuple(keep_axes.index(i) for i, v in enumerate(order) if v in ys)
-
-    # Move the Z axes to the front and walk its cells.
-    arranged = np.transpose(sub.probs, z_axes + keep_axes)
-    z_shape = arranged.shape[: len(z_axes)]
-    flat = arranged.reshape((-1,) + arranged.shape[len(z_axes):])
-    total = 0.0
-    for i in range(flat.shape[0]):
-        slab = flat[i]
-        pz = float(slab.sum())
-        if pz <= 0.0:
-            continue
-        total += pz * _mi_of_array(slab / pz, x_axes, y_axes)
-    return _clamp(total)
+    mx, my, mz = _masks(joint, x, y, z)
+    h = joint.entropy_of
+    return _clamp(h(mx | mz) + h(my | mz) - h(mx | my | mz) - h(mz))
 
 
 def chain_rule_residual(
@@ -158,12 +154,15 @@ def chain_rule_residual(
     x2: VarSet | Variable | Iterable[Variable],
     y: VarSet | Variable | Iterable[Variable],
 ) -> Nats:
-    """|I(X1, X2; Y) - I(X1; Y) - I(X2; Y | X1)|, which is 0 in exact arithmetic."""
-    x1s, x2s, ys = _as_sets(joint, x1, x2, y)
-    lhs = mutual_information(joint, x1s | x2s, ys)
-    rhs = mutual_information(joint, x1s, ys) + conditional_mutual_information(
-        joint, x2s, ys, x1s
-    )
+    """|I(X1, X2; Y) - I(X1; Y) - I(X2; Y | X1)|, which is 0 in exact arithmetic.
+
+    The left side is summed directly and the right side comes from the
+    entropy table, so the residual measures how far the two paths disagree.
+    """
+    x1, x2, y = (VarSet.coerce(g) for g in (x1, x2, y))
+    _masks(joint, x1, x2, y)  # validates the three groups
+    lhs = direct_mutual_information(joint, x1 | x2, y)
+    rhs = mutual_information(joint, x1, y) + conditional_mutual_information(joint, x2, y, x1)
     return abs(lhs - rhs)
 
 
@@ -186,8 +185,8 @@ def is_markov_chain(
     """Test whether X -> Y -> Z holds, i.e. whether I(X; Z | Y) <= tol.
 
     Markov chains are reversible, and the test is too: swapping X and Z gives
-    a bit-identical residual because the underlying MI computation is
-    symmetric at the floating-point level.
+    a bit-identical residual, because it only swaps the two leading terms of
+    the entropy sum.
     """
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
@@ -214,8 +213,3 @@ def data_processing_gap(
             f"exceeds tolerance {tol:.1e}"
         )
     return mutual_information(joint, x, y) - mutual_information(joint, x, z)
-
-
-def assignments(sizes: Iterable[int]):
-    """Iterate all index tuples for the given alphabet sizes (row-major)."""
-    return product(*(range(s) for s in sizes))

@@ -16,7 +16,11 @@ Two families of relations need different care:
 * Relations that compare *different* dependent slots against each other.
   Those hold when the dependents share one conditional table (identical
   channels) and can fail otherwise; each docstring says which regime it
-  needs.  ``theorem_battery`` in :mod:`harmonia.sweep` selects accordingly.
+  needs, and each such check carries ``cross_slot=True``.
+  ``theorem_battery`` in :mod:`harmonia.sweep` selects on that field.
+
+The functions that take a ``FactoredModel`` share its one cached joint
+(``FactoredModel.joint``) and with it the joint's memoised subset entropies.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .distributions import (
     ValidationError,
     Variable,
     VarSet,
-    build_joint,
     dep,
     dep_range,
 )
@@ -163,6 +166,8 @@ class RelationCheck:
     for EQ.  When the two sides are within ``10 * tolerance`` of each other
     and the relation has a Markov equality condition, that condition is
     diagnosed and stored; otherwise ``equality_diagnosis`` is None.
+    ``cross_slot`` marks relations that compare different dependent slots and
+    are guaranteed only under identical channels.
     """
 
     name: str
@@ -174,13 +179,14 @@ class RelationCheck:
     slack: float
     equality_condition: str = ""
     equality_diagnosis: MarkovVerdict | None = None
+    cross_slot: bool = False
 
     @property
     def is_equality(self) -> bool:
         return abs(self.lhs - self.rhs) <= self.tolerance
 
 
-def _check(
+def relation_check(
     name: str,
     relation: Relation,
     lhs: Nats,
@@ -188,7 +194,13 @@ def _check(
     tol: float,
     equality_condition: str = "",
     diagnose: Callable[[], MarkovVerdict] | None = None,
+    cross_slot: bool = False,
 ) -> RelationCheck:
+    """The one way to build a ``RelationCheck``.
+
+    ``tol = 0.0`` makes an exact check (EQ then holds only on ``lhs == rhs``);
+    a bound ``|value| <= tol`` is EQ of ``value`` against ``0.0``.
+    """
     if relation is Relation.LE:
         slack = rhs - lhs
     elif relation is Relation.GE:
@@ -208,6 +220,7 @@ def _check(
         slack=slack,
         equality_condition=equality_condition,
         equality_diagnosis=diagnosis,
+        cross_slot=cross_slot,
     )
 
 
@@ -258,12 +271,12 @@ def remainder_relation_checks(
     rest1 = VarSet(deps[1:])
     rhs1 = mutual_information(joint, VarSet((deps[0],)), head | rest1)
     if n == 1:
-        first = _check(
+        first = relation_check(
             "remainder k=1 (head first)", Relation.EQ, lhs1, rhs1, tol,
             equality_condition="single dependent (symmetry)",
         )
     else:
-        first = _check(
+        first = relation_check(
             "remainder k=1 (head first)", Relation.GE, lhs1, rhs1, tol,
             equality_condition=f"head -> dep1 -> {_range_name(2, n)}",
             diagnose=lambda: is_markov_chain(joint, head, VarSet((deps[0],)), rest1, tol=tol),
@@ -273,12 +286,12 @@ def remainder_relation_checks(
     lead2 = VarSet(deps[:-1])
     rhs2 = mutual_information(joint, head | lead2, VarSet((deps[-1],)))
     if n == 1:
-        last = _check(
+        last = relation_check(
             f"remainder k={n} (head last)", Relation.EQ, lhs2, rhs2, tol,
             equality_condition="single dependent (symmetry)",
         )
     else:
-        last = _check(
+        last = relation_check(
             f"remainder k={n} (head last)", Relation.GE, lhs2, rhs2, tol,
             equality_condition=f"{_range_name(1, n - 1)} -> dep{n} -> head",
             diagnose=lambda: is_markov_chain(joint, lead2, VarSet((deps[-1],)), head, tol=tol),
@@ -290,7 +303,7 @@ def verify_remainder_theorem(
     model: FactoredModel, tol: float = DEFAULT_TOLERANCE
 ) -> tuple[RelationCheck, RelationCheck]:
     """Remainder relations on the exact joint of a factored model."""
-    return remainder_relation_checks(build_joint(model), tol)
+    return remainder_relation_checks(model.joint, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +335,7 @@ def verify_pending_theorem(
         raise ValidationError(f"k={k} outside 1..{n}")
     if not k <= j <= n:
         raise ValidationError(f"j={j} outside the pending range {k}..{n}")
-    joint = build_joint(model)
+    joint = model.joint
     head = VarSet((HEAD,))
     first_k = dep_range(1, k)
     lead = dep_range(1, k - 1)  # empty when k == 1
@@ -331,12 +344,12 @@ def verify_pending_theorem(
     lhs1 = mutual_information(joint, head | lead, target)
     rhs1 = mutual_information(joint, first_k, head)
     if k == 1 and j == 1:
-        part1 = _check(
+        part1 = relation_check(
             f"pending part1 k={k} j={j}", Relation.EQ, lhs1, rhs1, tol,
             equality_condition="k=1 (symmetry)",
         )
     else:
-        part1 = _check(
+        part1 = relation_check(
             f"pending part1 k={k} j={j}", Relation.LE, lhs1, rhs1, tol,
             equality_condition=(
                 "k=1 (symmetry)" if k == 1
@@ -345,20 +358,21 @@ def verify_pending_theorem(
             diagnose=None if k == 1 else (
                 lambda: is_markov_chain(joint, head, target, lead, tol=tol)
             ),
+            cross_slot=j > k,
         )
     checks = [part1]
 
     if j > k:
         lhs23 = mutual_information(joint, first_k, target)
         checks.append(
-            _check(
+            relation_check(
                 f"pending part2 k={k} j={j}", Relation.LE, lhs23, rhs1, tol,
                 equality_condition=f"{_range_name(1, k)} -> dep{j} -> head",
                 diagnose=lambda: is_markov_chain(joint, first_k, target, head, tol=tol),
             )
         )
         checks.append(
-            _check(
+            relation_check(
                 f"pending part3 k={k} j={j}", Relation.LE, lhs23, lhs1, tol,
                 equality_condition=f"head -> {_range_name(1, k)} -> dep{j}",
                 diagnose=lambda: is_markov_chain(joint, head, first_k, target, tol=tol),
@@ -379,12 +393,12 @@ def verify_irrelevance(
     n = model.n
     if not 1 <= k < j <= n:
         raise ValidationError(f"need 1 <= k < j <= n, got k={k}, j={j}, n={n}")
-    joint = build_joint(model)
+    joint = model.joint
     head = VarSet((HEAD,))
     target = VarSet((dep(j),))
     lhs = mutual_information(joint, head | dep_range(1, k), target)
     rhs = mutual_information(joint, head, target)
-    return _check(
+    return relation_check(
         f"irrelevance k={k} j={j}", Relation.EQ, lhs, rhs, tol,
         equality_condition="dependents conditionally independent given the head",
     )
@@ -436,7 +450,7 @@ def lattice_report(
     n = model.n
     if not 1 <= k < n:
         raise ValidationError(f"lattice stage needs 1 <= k < n, got k={k}, n={n}")
-    joint = build_joint(model)
+    joint = model.joint
     head = VarSet((HEAD,))
 
     cells: dict[str, Nats] = {
@@ -462,13 +476,13 @@ def lattice_report(
         return lambda: is_markov_chain(joint, x, y, z, tol=tol)
 
     checks = [
-        _check(
+        relation_check(
             f"lattice k={k} (1) head-predictability-grows",
             Relation.LE, cells["head_pred_k"], cells["head_pred_k1"], tol,
             equality_condition=f"dep{k + 1} -> {_range_name(1, k)} -> head",
             diagnose=chain(VarSet((dep(k + 1),)), dep_range(1, k), head),
         ),
-        _check(
+        relation_check(
             f"lattice k={k} (2) head-beats-dep-at-k",
             Relation.LE, cells["dep_with_head_k"], cells["head_pred_k"], tol,
             equality_condition=(
@@ -477,42 +491,46 @@ def lattice_report(
             ),
             diagnose=None if k == 1 else chain(head, VarSet((dep(k),)), dep_range(1, k - 1)),
         ),
-        _check(
+        relation_check(
             f"lattice k={k} (3) head-beats-dep-at-k+1",
             Relation.LE, cells["dep_with_head_k1"], cells["head_pred_k1"], tol,
             equality_condition=f"head -> dep{k + 1} -> {_range_name(1, k)}",
             diagnose=chain(head, VarSet((dep(k + 1),)), dep_range(1, k)),
         ),
-        _check(
+        relation_check(
             f"lattice k={k} (4) produced-deps-do-not-help",
             Relation.EQ, cells["dep_with_head_k"], cells["dep_with_head_k1"], tol,
             equality_condition="pending slots identically distributed given the head",
+            cross_slot=True,
         ),
-        _check(
+        relation_check(
             f"lattice k={k} (5) early-head-helps-at-k",
             Relation.LE, cells["dep_without_head_k"], cells["dep_with_head_k"], tol,
             equality_condition=f"head -> {_range_name(1, k)} -> dep{k + 1}",
             diagnose=chain(head, dep_range(1, k), VarSet((dep(k + 1),))),
+            cross_slot=True,
         ),
     ]
     not_applicable: tuple[int, ...] = ()
     if has_next:
         checks.append(
-            _check(
+            relation_check(
                 f"lattice k={k} (6) early-head-helps-at-k+1",
                 Relation.LE, cells["dep_without_head_k1"], cells["dep_with_head_k1"], tol,
                 equality_condition=f"head -> {_range_name(1, k + 1)} -> dep{k + 2}",
                 diagnose=chain(head, dep_range(1, k + 1), VarSet((dep(k + 2),))),
+                cross_slot=True,
             )
         )
         checks.append(
-            _check(
+            relation_check(
                 f"lattice k={k} (7) dep-predictability-grows",
                 Relation.LE, cells["dep_without_head_k"], cells["dep_without_head_k1"], tol,
                 equality_condition=f"dep{k + 1} -> {_range_name(1, k)} -> dep{k + 2}",
                 diagnose=chain(
                     VarSet((dep(k + 1),)), dep_range(1, k), VarSet((dep(k + 2),))
                 ),
+                cross_slot=True,
             )
         )
     else:
@@ -615,7 +633,7 @@ def optimal_head_position(
             raise ValidationError("REMAINDER_AT_K needs a stage k")
         if not 1 <= k <= n:
             raise ValidationError(f"stage k={k} outside 1..{n}")
-    joint = build_joint(model)
+    joint = model.joint
 
     scores: list[Nats] = []
     profiles: list[ProfileReport] = []

@@ -32,7 +32,6 @@ from .distributions import (
     JointTable,
     ValidationError,
     VarSet,
-    build_joint,
     check_factorization,
     dep_range,
 )
@@ -40,7 +39,7 @@ from .information import (
     DEFAULT_TOLERANCE,
     chain_rule_residual,
     conditional_mutual_information,
-    mutual_information,
+    direct_mutual_information,
 )
 from .generators import ModelSpec, derive_seed, random_model
 from .placement import (
@@ -49,6 +48,7 @@ from .placement import (
     RelationCheck,
     lattice_report,
     optimal_head_position,
+    relation_check,
     remainder_relation_checks,
     verify_irrelevance,
     verify_pending_theorem,
@@ -139,7 +139,8 @@ class RunConfig:
 
 
 def resolve_workers(requested: int | None) -> int:
-    """Worker count: the HARMONIA_THREADS environment variable caps it."""
+    """Worker count: the request (HARMONIA_THREADS when there is none, else 1),
+    capped by HARMONIA_THREADS and by the number of CPUs."""
     cap_text = os.environ.get("HARMONIA_THREADS")
     cap = None
     if cap_text:
@@ -154,7 +155,7 @@ def resolve_workers(requested: int | None) -> int:
     workers = requested if requested is not None else (cap or 1)
     if cap is not None:
         workers = min(workers, cap)
-    return max(1, workers)
+    return max(1, min(workers, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -185,34 +186,6 @@ def _row(model_id: str, theorem: str, check: RelationCheck) -> SweepRow:
     )
 
 
-def _exact_eq_check(name: str, lhs: float, rhs: float, condition: str = "") -> RelationCheck:
-    """A bit-exact equality check (no tolerance at all)."""
-    return RelationCheck(
-        name=name,
-        relation=Relation.EQ,
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=0.0,
-        holds=lhs == rhs,
-        slack=-abs(lhs - rhs),
-        equality_condition=condition,
-    )
-
-
-def _bounded_check(name: str, value: float, tol: float, condition: str = "") -> RelationCheck:
-    """An |value| <= tol check rendered as EQ against zero."""
-    return RelationCheck(
-        name=name,
-        relation=Relation.EQ,
-        lhs=value,
-        rhs=0.0,
-        tolerance=tol,
-        holds=abs(value) <= tol,
-        slack=-abs(value),
-        equality_condition=condition,
-    )
-
-
 def theorem_battery(
     model: FactoredModel,
     tol: float = DEFAULT_TOLERANCE,
@@ -221,61 +194,49 @@ def theorem_battery(
 ) -> list[tuple[str, RelationCheck]]:
     """Every guaranteed relation for one model, as (theorem, check) pairs.
 
-    ``cross_slot`` controls whether the slot-comparing relations (full
-    pending part 1 and lattice relations 4..7) are included; by default they
-    are included exactly when the model's dependents share one conditional
-    table.
+    ``cross_slot`` controls whether the slot-comparing relations (the checks
+    marked ``cross_slot``: full pending part 1 and lattice relations 4..7) are
+    included; by default they are included exactly when the model's
+    dependents share one conditional table.
     """
     if cross_slot is None:
         cross_slot = model.has_identical_channels
     n = model.n
-    joint = build_joint(model)
+    joint = model.joint
     head = VarSet((HEAD,))
     all_deps = dep_range(1, n)
     out: list[tuple[str, RelationCheck]] = []
 
-    # Exact identities of the information measures themselves.
-    lhs = mutual_information(joint, head, all_deps)
-    rhs = mutual_information(joint, all_deps, head)
+    # Exact identities of the information measures.  The entropy table
+    # satisfies them by construction, so symmetry is checked on the
+    # direct-summation path and the chain rule against it.
     out.append(
-        ("identity", _exact_eq_check("symmetry head-vs-deps", lhs, rhs, "MI is symmetric"))
+        ("identity", relation_check(
+            "symmetry head-vs-deps", Relation.EQ,
+            direct_mutual_information(joint, head, all_deps),
+            direct_mutual_information(joint, all_deps, head), 0.0, "MI is symmetric",
+        ))
     )
     if n >= 2:
         first = dep_range(1, 1)
         rest = dep_range(2, n)
         out.append(
-            (
-                "identity",
-                _exact_eq_check(
-                    "symmetry dep1-vs-rest",
-                    mutual_information(joint, first, head | rest),
-                    mutual_information(joint, head | rest, first),
-                    "MI is symmetric",
-                ),
-            )
+            ("identity", relation_check(
+                "symmetry dep1-vs-rest", Relation.EQ,
+                direct_mutual_information(joint, first, head | rest),
+                direct_mutual_information(joint, head | rest, first), 0.0, "MI is symmetric",
+            ))
         )
-        out.append(
-            (
-                "identity",
-                _bounded_check(
-                    "chain-rule deps-about-head",
-                    chain_rule_residual(joint, first, rest, head),
-                    tol,
+        for name, x1, x2, y in (
+            ("chain-rule deps-about-head", first, rest, head),
+            ("chain-rule head+dep1-about-rest", head, first, rest),
+        ):
+            out.append(
+                ("identity", relation_check(
+                    name, Relation.EQ, chain_rule_residual(joint, x1, x2, y), 0.0, tol,
                     "chain rule of mutual information",
-                ),
+                ))
             )
-        )
-        out.append(
-            (
-                "identity",
-                _bounded_check(
-                    "chain-rule head+dep1-about-rest",
-                    chain_rule_residual(joint, head, first, rest),
-                    tol,
-                    "chain rule of mutual information",
-                ),
-            )
-        )
         # Dependents are independent given the head: prefix splits and pairs.
         # (For n = 2 the k=1 split *is* the only pair; keep each split once.)
         splits = [(dep_range(1, k), dep_range(k + 1, n)) for k in range(1, n)]
@@ -295,11 +256,10 @@ def theorem_battery(
                 f"independence {'+'.join(left.names)} vs {'+'.join(right.names)}"
             )
             out.append(
-                (
-                    "given-head-independence",
-                    _bounded_check(name, residual, INDEPENDENCE_TOL,
-                                   "dependents independent given the head"),
-                )
+                ("given-head-independence", relation_check(
+                    name, Relation.EQ, residual, 0.0, INDEPENDENCE_TOL,
+                    "dependents independent given the head",
+                ))
             )
 
     for check in remainder_relation_checks(joint, tol):
@@ -308,73 +268,52 @@ def theorem_battery(
     for k in range(1, n + 1):
         for j in range(k, n + 1):
             for check in verify_pending_theorem(model, k, j, tol):
-                if "part1" in check.name and j > k and not cross_slot:
-                    continue
-                out.append(("pending", check))
+                if cross_slot or not check.cross_slot:
+                    out.append(("pending", check))
 
     for k in range(1, n + 1):
         for j in range(k + 1, n + 1):
             out.append(("irrelevance", verify_irrelevance(model, k, j, tol)))
 
     for k in range(1, n):
-        report = lattice_report(model, k, tol)
-        for check in report.checks:
-            keep = cross_slot or any(
-                f"({num})" in check.name for num in (1, 2, 3)
-            )
-            if keep:
+        for check in lattice_report(model, k, tol).checks:
+            if cross_slot or not check.cross_slot:
                 out.append(("lattice", check))
 
     # Harmony contracts: which head positions attain each objective's max.
-    head_search = optimal_head_position(
+    head_scores = optimal_head_position(
         model, Objective.HEAD_PREDICTABILITY, include_profiles=False
-    )
+    ).scores
     out.append(
-        (
-            "harmony",
-            _exact_eq_check(
-                "head-last attains head-predictability max",
-                max(head_search.scores),
-                head_search.scores[n],
-                "producing every dependent first can only add information",
-            ),
-        )
+        ("harmony", relation_check(
+            "head-last attains head-predictability max", Relation.EQ,
+            max(head_scores), head_scores[n], 0.0,
+            "producing every dependent first can only add information",
+        ))
     )
-    dep_search = optimal_head_position(
+    dep_scores = optimal_head_position(
         model,
         Objective.DEPENDENT_PREDICTABILITY,
         aggregate=aggregate,
         include_profiles=False,
-    )
+    ).scores
     out.append(
-        (
-            "harmony",
-            RelationCheck(
-                name="head-first attains dependent-predictability max",
-                relation=Relation.EQ,
-                lhs=max(dep_search.scores),
-                rhs=dep_search.scores[0],
-                tolerance=tol,
-                holds=abs(max(dep_search.scores) - dep_search.scores[0]) <= tol,
-                slack=-abs(max(dep_search.scores) - dep_search.scores[0]),
-                equality_condition="the head informs every dependent at least as well as a sibling",
-            ),
-        )
+        ("harmony", relation_check(
+            "head-first attains dependent-predictability max", Relation.EQ,
+            max(dep_scores), dep_scores[0], tol,
+            "the head informs every dependent at least as well as a sibling",
+        ))
     )
     if n == 1:
         remainder = optimal_head_position(
             model, Objective.REMAINDER_AT_K, k=1, include_profiles=False
-        )
+        ).scores
         out.append(
-            (
-                "harmony",
-                _bounded_check(
-                    "n=1 head-first equals head-last",
-                    remainder.scores[0] - remainder.scores[1],
-                    INDEPENDENCE_TOL,
-                    "single dependent (symmetry)",
-                ),
-            )
+            ("harmony", relation_check(
+                "n=1 head-first equals head-last", Relation.EQ,
+                remainder[0] - remainder[1], 0.0, INDEPENDENCE_TOL,
+                "single dependent (symmetry)",
+            ))
         )
     return out
 
@@ -382,21 +321,17 @@ def theorem_battery(
 def checks_for_joint(joint: JointTable, tol: float = DEFAULT_TOLERANCE) -> list[tuple[str, RelationCheck]]:
     """Checks that make sense for an arbitrary joint table with a head.
 
-    Used for file inputs: the factorisation itself becomes a check, and the
-    remainder relations are evaluated as stated.  On a non-factored joint the
-    remainder relations may genuinely fail; that is the point.
+    Used for file inputs: the factorisation itself becomes a check (the total
+    correlation of the dependents given the head, in nats), and the remainder
+    relations are evaluated as stated.  On a non-factored joint the remainder
+    relations may genuinely fail; that is the point.
     """
     report = check_factorization(joint, tol=max(tol, 1e-12))
     rows: list[tuple[str, RelationCheck]] = [
-        (
-            "factorization",
-            _bounded_check(
-                "dependents pairwise independent given head",
-                report.max_violation,
-                report.tolerance,
-                "factored model assumption",
-            ),
-        )
+        ("factorization", relation_check(
+            "dependents independent given head", Relation.EQ,
+            report.max_violation, 0.0, report.tolerance, "factored model assumption",
+        ))
     ]
     for check in remainder_relation_checks(joint, tol):
         rows.append(("remainder", check))
@@ -471,7 +406,7 @@ def run_sweep(config: RunConfig) -> SweepResult:
     """Run the whole battery over the config's model grid."""
     start = time.perf_counter()
     tasks = sweep_tasks(config)
-    workers = resolve_workers(config.workers)
+    workers = min(resolve_workers(config.workers), len(tasks))
     if workers > 1:
         ctx = get_context()
         args = [(t, config.tolerance, config.aggregate) for t in tasks]

@@ -126,7 +126,7 @@ def test_criterion_3_counterexample_reverses_the_relation(capsys, tmp_path):
 
     ok = (
         not report.holds
-        and abs(report.max_violation - 0.25) <= 1e-12
+        and abs(report.max_violation - LN2) <= 1e-12
         and abs(first.lhs - 0.0) <= 1e-15
         and abs(first.rhs - LN2) <= 1e-15
         and not first.holds
@@ -135,7 +135,7 @@ def test_criterion_3_counterexample_reverses_the_relation(capsys, tmp_path):
     )
     assert verdict(
         capsys, 3, ok,
-        f"factorisation violated by {report.max_violation:.2f}, "
+        f"factorisation violated by {report.max_violation:.3f} nats, "
         f"I(head; deps)={first.lhs:.3f} < I(dep1; head+dep2)={first.rhs:.3f}, "
         f"verify exit code {exit_code}",
         "exact values at 1e-12/1e-15 nats; CLI must exit 1",

@@ -1,5 +1,7 @@
 """Core distribution objects: alphabets, variables, joints, factorisation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -231,9 +233,44 @@ def test_check_factorization_single_dependent_is_vacuous():
 def test_check_factorization_counterexample():
     report = check_factorization(correlated_pair_counterexample())
     assert not report.holds
-    assert report.max_violation == pytest.approx(0.25, abs=1e-12)
+    assert report.max_violation == pytest.approx(math.log(2.0), abs=1e-15)
     assert report.witness is not None
     assert {v.name for v in report.witness.pair} == {"dep1", "dep2"}
+
+
+def test_check_factorization_catches_a_xor_of_two_dependents():
+    """Each pair of dependents is independent given the head, yet dep3 = dep1 xor dep2."""
+    from harmonia.sweep import checks_for_joint
+
+    probs = np.zeros((2, 2, 2, 2))
+    for h in (0, 1):
+        for a in (0, 1):
+            for b in (0, 1):
+                probs[h, a, b, a ^ b] = 1 / 8
+    joint = JointTable(
+        variables=(HEAD, dep(1), dep(2), dep(3)), alphabets=(Alphabet(2),) * 4, probs=probs
+    )
+    report = check_factorization(joint)
+    assert not report.holds
+    assert report.max_violation == pytest.approx(math.log(2.0), abs=1e-15)
+    assert report.witness is None  # no pair of dependents shows a gap
+    row = {c.name: c for _, c in checks_for_joint(joint)}["dependents independent given head"]
+    assert not row.holds
+    assert row.lhs == report.max_violation
+
+
+def test_entropy_table_keeps_floats_only():
+    joint = build_joint(copy_model(2, 3, 0.2))
+    full = joint.entropy_of(0b111)
+    assert joint.entropy_of(0b111) == full
+    assert joint.entropy_of(0) == 0.0
+    assert all(type(h) is float for h in joint._entropies.values())
+
+
+def test_factored_model_builds_its_joint_once():
+    model = copy_model(2, 2, 0.1)
+    assert model.joint is model.joint
+    assert np.array_equal(model.joint.probs, build_joint(model).probs)
 
 
 def test_check_factorization_needs_a_head():

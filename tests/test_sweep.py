@@ -1,6 +1,8 @@
 """Sweep configuration, the per-model battery, and report output."""
 
 import io
+import math
+import os
 
 import pytest
 
@@ -63,6 +65,7 @@ def test_config_from_dict_rejects_unknown_keys():
 
 
 def test_resolve_workers_env_cap(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # the CPU cap is tested below
     monkeypatch.delenv("HARMONIA_THREADS", raising=False)
     assert resolve_workers(None) == 1
     assert resolve_workers(3) == 3
@@ -75,6 +78,33 @@ def test_resolve_workers_env_cap(monkeypatch):
     monkeypatch.setenv("HARMONIA_THREADS", "0")
     with pytest.raises(ValidationError):
         resolve_workers(None)
+
+
+def test_resolve_workers_caps_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("HARMONIA_THREADS", raising=False)
+    assert resolve_workers(10_000) == 4
+    monkeypatch.setenv("HARMONIA_THREADS", "64")
+    assert resolve_workers(None) == 4
+    assert resolve_workers(10_000) == 4
+    monkeypatch.setenv("HARMONIA_THREADS", "3")
+    assert resolve_workers(10_000) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: run serially
+    assert resolve_workers(10_000) == 1
+
+
+def test_run_sweep_starts_no_pool_for_a_single_model(monkeypatch):
+    import harmonia.sweep
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.delenv("HARMONIA_THREADS", raising=False)
+    monkeypatch.setattr(
+        harmonia.sweep, "get_context", lambda: pytest.fail("a pool was started")
+    )
+    config = RunConfig(sweep_size=1, n_values=(2,), head_sizes=(2,), dep_sizes=(2,), workers=4)
+    result = run_sweep(config)
+    assert result.model_count == 1
+    assert result.holds
 
 
 def test_sweep_tasks_alternate_regimes_and_are_deterministic():
@@ -130,6 +160,16 @@ def test_battery_includes_cross_slot_relations_for_shared_channels():
     assert any("(7)" in n for n in names)
 
 
+def test_cross_slot_marks_exactly_the_slot_comparing_relations():
+    """The field set where a check is built agrees with the relations' names."""
+    for _, check in theorem_battery(copy_model(4, 2, 0.1)):
+        name = check.name
+        slot_comparing = any(f"({num})" in name for num in (4, 5, 6, 7))
+        if "part1" in name:
+            slot_comparing = name.split("k=")[1].split(" ")[0] != name.split("j=")[1]
+        assert check.cross_slot == slot_comparing, name
+
+
 def test_battery_cross_slot_override():
     model = copy_model(2, 2, 0.1)
     forced_off = theorem_battery(model, cross_slot=False)
@@ -153,9 +193,9 @@ def test_battery_identity_checks_are_bit_exact():
 def test_checks_for_joint_flags_the_counterexample():
     pairs = checks_for_joint(correlated_pair_counterexample())
     by_name = {check.name: check for _, check in pairs}
-    fact = by_name["dependents pairwise independent given head"]
+    fact = by_name["dependents independent given head"]
     assert not fact.holds
-    assert fact.lhs == pytest.approx(0.25, abs=1e-15)
+    assert fact.lhs == pytest.approx(math.log(2.0), abs=1e-15)
     remainder_fails = [c for _, c in pairs if c.name.startswith("remainder") and not c.holds]
     assert len(remainder_fails) == 2
 
