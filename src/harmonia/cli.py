@@ -10,8 +10,10 @@ output; ``--bits`` converts printed summaries only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .distributions import (
@@ -20,7 +22,6 @@ from .distributions import (
     HarmoniaError,
     ValidationError,
     VarSet,
-    build_joint,
     check_factorization,
     dep_range,
 )
@@ -32,9 +33,9 @@ from .generators import (
     independent_model,
     random_model,
 )
-from .information import mutual_information, to_bits
+from .information import DEFAULT_TOLERANCE, mutual_information, to_bits
 from .modelio import load_any, load_model, save_joint, save_model
-from .placement import Objective, Placement, optimal_head_position
+from .placement import Objective, Placement, optimal_head_position, placement_profile
 from .sweep import (
     RunConfig,
     _row,
@@ -61,9 +62,10 @@ def _fmt(value: float, bits: bool) -> str:
 
 
 def _open_out(path: str | None):
+    """The output file at ``path``, or stdout (left open) when there is none."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +74,8 @@ def _open_out(path: str | None):
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    data: dict = {}
+    """The config file's settings (or the defaults), then the command line's."""
+    config = RunConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
             try:
@@ -83,7 +86,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 ) from None
         if not isinstance(loaded, dict):
             raise ValidationError(f"{args.config}: config must be a JSON object")
-        data.update(loaded)
+        try:
+            config = RunConfig.from_dict(loaded)
+        except ValidationError as err:
+            raise ValidationError(f"{args.config}: {err}") from None
     overrides = {
         "tolerance": args.tol,
         "sweep_size": args.models,
@@ -96,12 +102,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         "out": args.out,
         "workers": args.workers,
     }
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
+    overrides = {key: value for key, value in overrides.items() if value is not None}
     if args.no_timestamp:
-        data["timestamp"] = False
-    return RunConfig.from_dict(data)
+        overrides["timestamp"] = False
+    return replace(config, **overrides)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -116,12 +120,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             pairs = checks_for_joint(loaded, config.tolerance)
         rows = [_row(model_id, theorem, check) for theorem, check in pairs]
         failures = [r for r in rows if not r.holds]
-        out, close = _open_out(config.out)
-        try:
+        with _open_out(config.out) as out:
             write_report(rows, out, timestamp=config.timestamp)
-        finally:
-            if close:
-                out.close()
         print(
             f"checked 1 input ({model_id}): {len(rows)} relations, "
             f"{len(failures)} violation(s)",
@@ -130,12 +130,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 0 if not failures else 1
 
     result = run_sweep(config)
-    out, close = _open_out(config.out)
-    try:
+    with _open_out(config.out) as out:
         write_report(result.rows, out, timestamp=config.timestamp)
-    finally:
-        if close:
-            out.close()
     if result.failures:
         directory = args.witness_dir or (str(Path(config.out).parent) if config.out else ".")
         written = write_witnesses(result, directory)
@@ -162,26 +158,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     objective = Objective(args.objective)
+    order = args.order or ()
     result = optimal_head_position(
         model,
         objective,
         k=args.k,
-        dependent_order=args.order or (),
-        aggregate=args.aggregate or "min",
-        tol=args.tol if args.tol is not None else 1e-9,
+        dependent_order=order,
+        aggregate=args.aggregate,
+        tol=args.tol,
     )
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write("head_position,k,measure,target,nats\n")
-        for profile in result.profiles:
-            pos = profile.placement.head_position
-            for row in profile.rows:
+        for pos in range(1, model.n + 2):
+            placement = Placement(n=model.n, head_position=pos, dependent_order=order)
+            for row in placement_profile(model.joint, placement).rows:
                 out.write(f"{pos},{row.k},remainder,,{row.remainder!r}\n")
                 for variable, value in row.pending_elements:
                     out.write(f"{pos},{row.k},element,{variable.name},{value!r}\n")
-    finally:
-        if close:
-            out.close()
     best = ", ".join(str(p) for p in result.best_positions)
     score = max(result.scores)
     print(
@@ -202,8 +195,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_typology(args: argparse.Namespace) -> int:
     rows = load_typology(args.data)
     report = typology_report(rows)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write(
             "source,unit,order_position,frequency,percentage,"
             "recomputed_percentage,consistent\n"
@@ -214,9 +206,6 @@ def cmd_typology(args: argparse.Namespace) -> int:
                     f"{row.source},{row.unit},{row.order_position},{row.frequency},"
                     f"{row.percentage},{recomputed:.4f},{'true' if ok else 'false'}\n"
                 )
-    finally:
-        if close:
-            out.close()
     for group in report.groups:
         trend = "increasing" if group.counts_monotonic else "NOT increasing"
         print(
@@ -240,7 +229,7 @@ def cmd_typology(args: argparse.Namespace) -> int:
 
 
 def _print_model_summary(model: FactoredModel, bits: bool) -> None:
-    joint = build_joint(model)
+    joint = model.joint
     head = VarSet((HEAD,))
     for i in range(1, model.n + 1):
         value = mutual_information(joint, head, dep_range(i, i))
@@ -250,7 +239,6 @@ def _print_model_summary(model: FactoredModel, bits: bool) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else 0
     if args.kind == "copy":
         model = copy_model(n=args.n, size=args.size, noise=args.noise)
         meta = {"generator": "copy", "n": args.n, "size": args.size, "noise": args.noise}
@@ -259,20 +247,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
             n=args.n,
             head_size=args.head_size,
             dep_sizes=args.dep_size,
-            concentration=args.concentration if args.concentration is not None else 1.0,
-            seed=seed,
+            concentration=args.concentration,
+            seed=args.seed,
             identical_channels=args.identical_channels,
         )
         model = random_model(spec)
-        meta = {
-            "generator": "random",
-            "n": spec.n,
-            "head_size": spec.head_size,
-            "dep_sizes": list(spec.dep_sizes),
-            "concentration": spec.concentration,
-            "seed": spec.seed,
-            "identical_channels": spec.identical_channels,
-        }
+        meta = {"generator": "random", **asdict(spec)}
     elif args.kind == "independent":
         model = independent_model(n=args.n, sizes=args.size)
         meta = {"generator": "independent", "n": args.n, "size": args.size}
@@ -316,18 +296,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_sample(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     placement = Placement(
-        n=model.n,
-        head_position=args.head_position if args.head_position is not None else 1,
-        dependent_order=args.order or (),
+        n=model.n, head_position=args.head_position, dependent_order=args.order or ()
     )
-    seed = args.seed if args.seed is not None else 0
-    samples = sample(model, placement, count=args.count, seed=seed)
-    out, close = _open_out(args.out)
-    try:
+    samples = sample(model, placement, count=args.count, seed=args.seed)
+    with _open_out(args.out) as out:
         samples.to_csv(out, labels=args.labels)
-    finally:
-        if close:
-            out.close()
     if args.out:
         print(f"wrote {samples.count} rows to {args.out}", file=sys.stderr)
     if args.score_k is not None:
@@ -381,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
                            default="head")
     p_profile.add_argument("--k", type=int, default=None, help="stage for the remainder objective")
     p_profile.add_argument("--order", type=_int_list, default=None)
-    p_profile.add_argument("--aggregate", choices=("min", "mean"), default=None)
-    p_profile.add_argument("--tol", type=float, default=None)
+    p_profile.add_argument("--aggregate", choices=("min", "mean"), default="min")
+    p_profile.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
     p_profile.add_argument("--out", default=None)
     p_profile.add_argument("--bits", action="store_true", help="also print bits")
     p_profile.set_defaults(func=cmd_profile)
@@ -402,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     g_random.add_argument("--n", type=int, required=True)
     g_random.add_argument("--head-size", type=int, default=2)
     g_random.add_argument("--dep-size", type=int, default=2)
-    g_random.add_argument("--concentration", type=float, default=None)
-    g_random.add_argument("--seed", type=int, default=None)
+    g_random.add_argument("--concentration", type=float, default=1.0)
+    g_random.add_argument("--seed", type=int, default=0)
     g_random.add_argument("--identical-channels", action="store_true")
     g_independent = gen_sub.add_parser("independent", help="no dependence anywhere")
     g_independent.add_argument("--n", type=int, required=True)
@@ -415,15 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--out", required=True)
         g.add_argument("--bits", action="store_true")
         g.set_defaults(func=cmd_gen)
-    g_copy.set_defaults(seed=None)
-    g_independent.set_defaults(seed=None)
-    g_counter.set_defaults(seed=None)
 
     p_sample = sub.add_parser("sample", help="draw i.i.d. sequences from a model")
     p_sample.add_argument("model")
     p_sample.add_argument("--count", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, default=None)
-    p_sample.add_argument("--head-position", type=int, default=None)
+    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--head-position", type=int, default=1)
     p_sample.add_argument("--order", type=_int_list, default=None)
     p_sample.add_argument("--out", default=None)
     p_sample.add_argument("--labels", action="store_true", help="write labels, not indices")

@@ -4,12 +4,13 @@ The objects here describe a two-layer generative story for a phrase: a head
 element is drawn from a prior, then each of ``n`` dependents is drawn
 independently from a conditional table given the head.  Everything downstream
 (information measures, placement analysis, estimation) works on the exact
-joint table this model induces, so the joint is materialised densely with a
-configurable cell cap rather than approximated.
+joint table this model induces, so the joint is materialised densely, up to
+``MAX_JOINT_CELLS`` cells, rather than approximated.
 
-Probabilities are plain float64 numpy arrays.  Validation is strict: rows must
-sum to one within a small tolerance, and conditioning on an impossible event
-raises instead of silently renormalising garbage.
+Probabilities are plain float64 numpy arrays.  Validation is strict: entries
+must be numbers in [0, 1] (NaN is rejected), rows must sum to one within a
+small tolerance, and conditioning on an impossible event raises instead of
+silently renormalising garbage.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-#: Default cap on the number of cells a dense joint table may hold.
+#: Cap on the number of cells a dense joint table may hold.
 MAX_JOINT_CELLS = 10_000_000
 
 #: Tolerance for "these probabilities sum to one" checks at construction time.
@@ -115,7 +116,7 @@ def parse_variable(name: str) -> Variable:
     """Inverse of ``Variable.name`` ("head", "dep3", ...)."""
     if name == "head":
         return HEAD
-    if name.startswith("dep"):
+    if isinstance(name, str) and name.startswith("dep"):
         try:
             return dep(int(name[3:]))
         except ValueError:
@@ -127,8 +128,8 @@ class VarSet:
     """An ordered, duplicate-free collection of variables.
 
     Order is preserved as given (production order matters for views and CSV
-    output) but set semantics apply: membership, union, difference and
-    disjointness are all by value.
+    output) but set semantics apply: membership, union and disjointness
+    are all by value.
     """
 
     __slots__ = ("_vars", "_members")
@@ -172,10 +173,6 @@ class VarSet:
     def __or__(self, other: "VarSet") -> "VarSet":
         extra = tuple(v for v in VarSet.coerce(other) if v not in self._members)
         return VarSet(self._vars + extra)
-
-    def __sub__(self, other: "VarSet") -> "VarSet":
-        drop = VarSet.coerce(other)._members
-        return VarSet(tuple(v for v in self._vars if v not in drop))
 
     def is_disjoint(self, other: "VarSet") -> bool:
         return self._members.isdisjoint(VarSet.coerce(other)._members)
@@ -256,17 +253,6 @@ class FactoredModel:
         return len(self.dep_alphabets)
 
     @property
-    def variables(self) -> VarSet:
-        return VarSet((HEAD,) + tuple(dep(i) for i in range(1, self.n + 1)))
-
-    def alphabet_of(self, v: Variable) -> Alphabet:
-        if v.is_head:
-            return self.head_alphabet
-        if v.index > self.n:
-            raise ValidationError(f"{v.name} out of range for a model with n={self.n}")
-        return self.dep_alphabets[v.index - 1]
-
-    @property
     def has_identical_channels(self) -> bool:
         """True when every dependent shares one conditional table (exactly)."""
         first = self.cond_tables[0]
@@ -284,11 +270,12 @@ class FactoredModel:
 def _check_distribution(p: np.ndarray, shape: tuple[int, ...], what: str) -> None:
     if p.shape != shape:
         raise ValidationError(f"{what} has shape {p.shape}, expected {shape}")
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        bad = int(np.argmax((p < 0.0) | (p > 1.0)))
-        raise ValidationError(f"{what}: entry {bad} is {p.flat[bad]!r}, outside [0, 1]")
+    valid = (p >= 0.0) & (p <= 1.0)  # False for NaN
+    if not np.all(valid):
+        bad = int(np.argmin(valid))
+        raise ValidationError(f"{what}: entry {bad} is {float(p.flat[bad])!r}, outside [0, 1]")
     total = float(p.sum())
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
         raise ValidationError(f"{what} sums to {total!r}, expected 1 within {PROB_SUM_TOL}")
 
 
@@ -308,7 +295,6 @@ class JointTable:
     variables: tuple[Variable, ...]
     alphabets: tuple[Alphabet, ...]
     probs: np.ndarray = field(repr=False)
-    max_cells: int = MAX_JOINT_CELLS
     #: Subset entropies by axis bitmask; floats only, filled on demand.
     _entropies: dict[int, float] = field(
         default_factory=lambda: {0: 0.0}, init=False, repr=False
@@ -326,18 +312,18 @@ class JointTable:
             raise ValidationError("duplicate variable in joint table")
         shape = tuple(a.size for a in self.alphabets)
         cells = math.prod(shape) if shape else 0
-        if cells > self.max_cells:
+        if cells > MAX_JOINT_CELLS:
             raise JointSizeError(
-                f"joint table would need {cells} cells, cap is {self.max_cells}"
+                f"joint table would need {cells} cells, cap is {MAX_JOINT_CELLS}"
             )
         if self.probs.shape != shape:
             raise ValidationError(
                 f"probability array has shape {self.probs.shape}, expected {shape}"
             )
-        if np.any(self.probs < 0.0):
-            raise ValidationError("joint table has a negative entry")
+        if not np.all(self.probs >= 0.0):  # False for NaN
+            raise ValidationError("joint table has a negative or NaN entry")
         total = float(self.probs.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValidationError(f"joint table sums to {total!r}, expected 1 within 1e-9")
         self.probs.setflags(write=False)
 
@@ -351,9 +337,6 @@ class JointTable:
                 f"{v.name} is not a variable of this joint table "
                 f"(has {[x.name for x in self.variables]})"
             ) from None
-
-    def alphabet_of(self, v: Variable) -> Alphabet:
-        return self.alphabets[self.axis_of(v)]
 
     @property
     def varset(self) -> VarSet:
@@ -396,7 +379,6 @@ class JointTable:
             variables=tuple(keep),
             alphabets=tuple(self.alphabets[a] for a in axes),
             probs=np.ascontiguousarray(np.transpose(summed, perm)),
-            max_cells=self.max_cells,
         )
 
     def condition(self, on: Variable, value: int) -> "JointTable":
@@ -419,7 +401,6 @@ class JointTable:
             variables=tuple(v for v in self.variables if v != on),
             alphabets=tuple(a for i, a in enumerate(self.alphabets) if i != axis),
             probs=slab / mass,
-            max_cells=self.max_cells,
         )
 
     def prob(self, assignment: dict[Variable, int]) -> float:
@@ -430,18 +411,18 @@ class JointTable:
         return float(self.probs[idx])
 
 
-def build_joint(model: FactoredModel, max_cells: int | None = None) -> JointTable:
+def build_joint(model: FactoredModel) -> JointTable:
     """Materialise the exact joint table of a factored model.
 
     The variable order is canonical: head first, then dependents 1..n.  The
     joint is the outer product of the prior with each conditional table,
-    contracted over the shared head axis.
+    contracted over the shared head axis.  A joint above ``MAX_JOINT_CELLS``
+    cells is refused before any memory is allocated.
     """
-    cap = MAX_JOINT_CELLS if max_cells is None else max_cells
     sizes = [model.head_alphabet.size] + [a.size for a in model.dep_alphabets]
     cells = math.prod(sizes)
-    if cells > cap:
-        raise JointSizeError(f"joint table would need {cells} cells, cap is {cap}")
+    if cells > MAX_JOINT_CELLS:
+        raise JointSizeError(f"joint table would need {cells} cells, cap is {MAX_JOINT_CELLS}")
     probs = model.head_prior.copy()
     for i, table in enumerate(model.cond_tables):
         # probs has shape (head, d1..di-1); append the axis for dependent i.
@@ -450,7 +431,7 @@ def build_joint(model: FactoredModel, max_cells: int | None = None) -> JointTabl
         )
     variables = (HEAD,) + tuple(dep(i) for i in range(1, model.n + 1))
     alphabets = (model.head_alphabet,) + model.dep_alphabets
-    return JointTable(variables=variables, alphabets=alphabets, probs=probs, max_cells=cap)
+    return JointTable(variables=variables, alphabets=alphabets, probs=probs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Monte Carlo sampling and plug-in estimates next to their exact targets.
 
-Samples are i.i.d. draws from the exact joint table, so estimator behaviour
+Samples are i.i.d. draws from the model's exact joint table (the one
+``FactoredModel.joint`` caches, which scoring shares), so estimator behaviour
 can be studied against ground truth with no simulation gap.  The plug-in MI
 estimator is deliberately uncorrected (it is biased upward for finite
 samples); the point is to quantify that bias, not hide it.
@@ -20,7 +21,6 @@ from .distributions import (
     ValidationError,
     Variable,
     VarSet,
-    build_joint,
     FactoredModel,
 )
 from .information import Nats, mutual_information
@@ -90,7 +90,7 @@ def sample(
         raise ValidationError(
             f"placement has n={placement.n} but model has n={model.n}"
         )
-    joint = build_joint(model)
+    joint = model.joint
     flat = joint.probs.reshape(-1)
     rng = np.random.default_rng(seed)
     drawn = rng.choice(flat.size, size=count, p=flat)
@@ -106,21 +106,23 @@ def sample(
     )
 
 
+def _counts(samples: SampleSet, variables: Iterable[Variable]) -> np.ndarray:
+    """Joint counts of ``variables`` in the samples, one axis per variable."""
+    cols = [samples.column_of(v) for v in variables]
+    sizes = tuple(samples.alphabets[c].size for c in cols)
+    flat_idx = np.ravel_multi_index(tuple(samples.rows[:, c] for c in cols), sizes)
+    return np.bincount(flat_idx, minlength=int(np.prod(sizes))).reshape(sizes)
+
+
 def empirical_joint(samples: SampleSet, subset: VarSet | Iterable[Variable]) -> JointTable:
     """The empirical frequency table over ``subset`` (a valid joint table)."""
     subset = VarSet.coerce(subset).sorted()
     if len(subset) == 0:
         raise ValidationError("need at least one variable")
-    cols = [samples.column_of(v) for v in subset]
-    sizes = tuple(samples.alphabets[c].size for c in cols)
-    flat_idx = np.ravel_multi_index(
-        tuple(samples.rows[:, c] for c in cols), sizes
-    )
-    counts = np.bincount(flat_idx, minlength=int(np.prod(sizes))).reshape(sizes)
     return JointTable(
         variables=tuple(subset),
-        alphabets=tuple(samples.alphabets[c] for c in cols),
-        probs=counts / samples.count,
+        alphabets=tuple(samples.alphabets[samples.column_of(v)] for v in subset),
+        probs=_counts(samples, subset) / samples.count,
     )
 
 
@@ -168,7 +170,7 @@ def next_element_score(
     n = model.n
     if not 0 <= k <= n:
         raise ValidationError(f"stage k={k} outside 0..{n}: no element is pending")
-    joint = build_joint(model)
+    joint = model.joint
     seq = placement.sequence()
     if placement.n != n:
         raise ValidationError(f"placement has n={placement.n} but model has n={n}")
@@ -184,16 +186,11 @@ def next_element_score(
     if samples is not None:
         if samples.variables != seq:
             raise ValidationError("samples were drawn under a different placement")
-        cols = [samples.column_of(v) for v in prefix + (target,)]
-        sizes = tuple(samples.alphabets[c].size for c in cols)
-        flat_idx = np.ravel_multi_index(
-            tuple(samples.rows[:, c] for c in cols), sizes
-        )
-        counts = np.bincount(flat_idx, minlength=int(np.prod(sizes))).reshape(sizes)
+        counts = _counts(samples, prefix + (target,))
         rule = counts.argmax(axis=-1)
         unseen = counts.sum(axis=-1) == 0
         if np.any(unseen):
-            fallback = int(counts.reshape(-1, sizes[-1]).sum(axis=0).argmax())
+            fallback = int(counts.reshape(-1, counts.shape[-1]).sum(axis=0).argmax())
             rule = np.where(unseen, fallback, rule)
         picked = np.take_along_axis(
             margin.probs, rule.reshape(rule.shape + (1,)), axis=-1

@@ -76,6 +76,8 @@ class ModelSpec:
             raise ValidationError(
                 f"concentration must be positive, got {self.concentration}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.identical_channels and len(set(sizes)) > 1:
             raise ValidationError(
                 "identical channels need equal dependent sizes, got "

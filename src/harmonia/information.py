@@ -115,17 +115,11 @@ def mutual_information(
     joint: JointTable,
     x: VarSet | Variable | Iterable[Variable],
     y: VarSet | Variable | Iterable[Variable],
-    clamp: bool = True,
 ) -> Nats:
     """Mutual information between disjoint variable sets, in nats:
-    I(X; Y) = H(X) + H(Y) - H(XY).
-
-    ``clamp=False`` exposes the raw result (useful for asserting that
-    rounding noise stays within ``CLAMP_BAND``).
-    """
+    I(X; Y) = H(X) + H(Y) - H(XY)."""
     mx, my = _masks(joint, x, y)
-    value = joint.entropy_of(mx) + joint.entropy_of(my) - joint.entropy_of(mx | my)
-    return _clamp(value) if clamp else value
+    return _clamp(joint.entropy_of(mx) + joint.entropy_of(my) - joint.entropy_of(mx | my))
 
 
 def conditional_mutual_information(

@@ -9,12 +9,15 @@ Two single-object formats, both versioned:
 Floats round-trip exactly (JSON uses repr), so save/load is lossless.  The
 loader re-runs full validation and prefixes any complaint with the file path,
 so a corrupt row is reported as e.g.
-``model.json: conditional table for dep2, row 1 sums to 0.7...``.
+``model.json: conditional table for dep2, row 1 sums to 0.7...``.  A field of
+the wrong type (a string where numbers belong, a ragged table, a non-integer
+size) is a ``ValidationError`` too, never a bare ``TypeError``.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from pathlib import Path
 from typing import Any
 
@@ -40,8 +43,19 @@ def _alphabet_to_json(a: Alphabet) -> dict[str, Any]:
 def _alphabet_from_json(obj: Any, where: str) -> Alphabet:
     if not isinstance(obj, dict) or "size" not in obj:
         raise ValidationError(f"{where}: expected an object with a 'size' field")
+    try:
+        size = operator.index(obj["size"])
+    except TypeError:
+        raise ValidationError(f"{where}: size must be an integer, got {obj['size']!r}") from None
     labels = obj.get("labels")
-    return Alphabet(size=int(obj["size"]), labels=tuple(labels) if labels else None)
+    return Alphabet(size=size, labels=tuple(labels) if labels else None)
+
+
+def _floats(value: Any, where: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: expected a regular array of numbers") from None
 
 
 def model_to_json(model: FactoredModel, metadata: dict[str, Any] | None = None) -> dict[str, Any]:
@@ -95,7 +109,9 @@ def _load_json(path: str | Path) -> dict[str, Any]:
     return obj
 
 
-def _check_header(obj: dict[str, Any], path: str | Path, expected: str) -> None:
+def _check_header(
+    obj: dict[str, Any], path: str | Path, expected: str, fields: tuple[str, ...]
+) -> None:
     fmt = obj.get("format")
     if fmt != expected:
         raise ValidationError(
@@ -106,26 +122,27 @@ def _check_header(obj: dict[str, Any], path: str | Path, expected: str) -> None:
         raise ValidationError(
             f"{path}: unsupported version {version!r} (this build reads {FORMAT_VERSION})"
         )
+    for field in fields:
+        if field not in obj:
+            raise ValidationError(f"{path}: missing field {field!r}")
 
 
 def _model_from_json(obj: dict[str, Any], path: str | Path) -> FactoredModel:
-    _check_header(obj, path, MODEL_FORMAT)
-    for field in ("head_alphabet", "dep_alphabets", "head_prior", "cond_tables"):
-        if field not in obj:
-            raise ValidationError(f"{path}: missing field {field!r}")
-    dep_alphas = [
-        _alphabet_from_json(a, f"dep_alphabets[{i}]") for i, a in enumerate(obj["dep_alphabets"])
-    ]
+    _check_header(obj, path, MODEL_FORMAT,
+                  ("head_alphabet", "dep_alphabets", "head_prior", "cond_tables"))
     try:
         model = FactoredModel(
             head_alphabet=_alphabet_from_json(obj["head_alphabet"], "head_alphabet"),
-            dep_alphabets=tuple(dep_alphas),
-            head_prior=np.asarray(obj["head_prior"], dtype=np.float64),
+            dep_alphabets=tuple(
+                _alphabet_from_json(a, f"dep_alphabets[{i}]")
+                for i, a in enumerate(obj["dep_alphabets"])
+            ),
+            head_prior=_floats(obj["head_prior"], "head_prior"),
             cond_tables=tuple(
-                np.asarray(t, dtype=np.float64) for t in obj["cond_tables"]
+                _floats(t, f"cond_tables[{i}]") for i, t in enumerate(obj["cond_tables"])
             ),
         )
-    except ValidationError as err:
+    except (TypeError, ValueError) as err:  # ValidationError is a ValueError
         raise ValidationError(f"{path}: {err}") from None
     declared_n = obj.get("n")
     if declared_n is not None and declared_n != model.n:
@@ -136,10 +153,7 @@ def _model_from_json(obj: dict[str, Any], path: str | Path) -> FactoredModel:
 
 
 def _joint_from_json(obj: dict[str, Any], path: str | Path) -> JointTable:
-    _check_header(obj, path, JOINT_FORMAT)
-    for field in ("variables", "alphabets", "probabilities"):
-        if field not in obj:
-            raise ValidationError(f"{path}: missing field {field!r}")
+    _check_header(obj, path, JOINT_FORMAT, ("variables", "alphabets", "probabilities"))
     try:
         variables = tuple(parse_variable(name) for name in obj["variables"])
         alphabets = tuple(
@@ -148,9 +162,9 @@ def _joint_from_json(obj: dict[str, Any], path: str | Path) -> JointTable:
         return JointTable(
             variables=variables,
             alphabets=alphabets,
-            probs=np.asarray(obj["probabilities"], dtype=np.float64),
+            probs=_floats(obj["probabilities"], "probabilities"),
         )
-    except ValidationError as err:
+    except (TypeError, ValueError) as err:  # ValidationError is a ValueError
         raise ValidationError(f"{path}: {err}") from None
 
 

@@ -7,6 +7,12 @@ and how much it says about one particular pending element.  The functions
 here compute those quantities exactly and check the order relations between
 them that hold for factored head/dependent models.
 
+Each relation compares two mutual informations, and each inequality becomes
+an equality exactly when one Markov chain X -> Y -> Z holds (the
+data-processing condition).  A check carries that chain as data: it is
+diagnosed on the joint when the two sides are close, and its display text
+(``head -> dep1 -> dep2..3``) is derived from it.
+
 Two families of relations need different care:
 
 * Relations that hold for every factored model: the remainder inequalities,
@@ -27,7 +33,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
 
 from .distributions import (
     HEAD,
@@ -157,15 +162,28 @@ class Relation(enum.Enum):
     EQ = "=="
 
 
+#: A Markov chain X -> Y -> Z.  Each group is the head, one dependent or a
+#: contiguous range of dependents.
+Chain = tuple[VarSet, VarSet, VarSet]
+
+
+def _label(group: VarSet) -> str:
+    """Display name of a chain group: ``head``, ``dep3`` or ``dep1..4``."""
+    vs = tuple(group)
+    return vs[0].name if len(vs) == 1 else f"{vs[0].name}..{vs[-1].index}"
+
+
 @dataclass(frozen=True)
 class RelationCheck:
     """One verified order relation between two exact information quantities.
 
     ``slack`` measures how comfortably the relation holds (negative means
     violated): ``rhs - lhs`` for LE, ``lhs - rhs`` for GE and ``-|lhs - rhs|``
-    for EQ.  When the two sides are within ``10 * tolerance`` of each other
-    and the relation has a Markov equality condition, that condition is
-    diagnosed and stored; otherwise ``equality_diagnosis`` is None.
+    for EQ.  ``chain`` is the Markov chain whose truth makes the two sides
+    equal, or None when the relation has none to diagnose (an identity, a
+    bound, or a relation that is an equality outright).  When the two sides
+    are within ``10 * tolerance`` of each other the chain is tested and the
+    verdict stored in ``equality_diagnosis``; otherwise it is None.
     ``cross_slot`` marks relations that compare different dependent slots and
     are guaranteed only under identical channels.
     """
@@ -177,13 +195,14 @@ class RelationCheck:
     tolerance: float
     holds: bool
     slack: float
-    equality_condition: str = ""
+    chain: Chain | None = None
     equality_diagnosis: MarkovVerdict | None = None
     cross_slot: bool = False
 
     @property
-    def is_equality(self) -> bool:
-        return abs(self.lhs - self.rhs) <= self.tolerance
+    def equality_condition(self) -> str:
+        """The chain as text, e.g. ``head -> dep1 -> dep2..3``; empty without one."""
+        return " -> ".join(_label(g) for g in self.chain) if self.chain else ""
 
 
 def relation_check(
@@ -192,14 +211,16 @@ def relation_check(
     lhs: Nats,
     rhs: Nats,
     tol: float,
-    equality_condition: str = "",
-    diagnose: Callable[[], MarkovVerdict] | None = None,
+    joint: JointTable | None = None,
+    chain: Chain | None = None,
     cross_slot: bool = False,
 ) -> RelationCheck:
     """The one way to build a ``RelationCheck``.
 
     ``tol = 0.0`` makes an exact check (EQ then holds only on ``lhs == rhs``);
-    a bound ``|value| <= tol`` is EQ of ``value`` against ``0.0``.
+    a bound ``|value| <= tol`` is EQ of ``value`` against ``0.0``.  A
+    ``chain`` is diagnosed on ``joint`` when the two sides are within
+    ``10 * tol``.
     """
     if relation is Relation.LE:
         slack = rhs - lhs
@@ -208,8 +229,8 @@ def relation_check(
     else:
         slack = -abs(lhs - rhs)
     diagnosis = None
-    if diagnose is not None and abs(lhs - rhs) <= 10.0 * tol:
-        diagnosis = diagnose()
+    if chain is not None and abs(lhs - rhs) <= 10.0 * tol:
+        diagnosis = is_markov_chain(joint, *chain, tol=tol)
     return RelationCheck(
         name=name,
         relation=relation,
@@ -218,18 +239,10 @@ def relation_check(
         tolerance=tol,
         holds=slack >= -tol,
         slack=slack,
-        equality_condition=equality_condition,
+        chain=chain,
         equality_diagnosis=diagnosis,
         cross_slot=cross_slot,
     )
-
-
-def _range_name(first: int, last: int) -> str:
-    if first > last:
-        return "(none)"
-    if first == last:
-        return f"dep{first}"
-    return f"dep{first}..{last}"
 
 
 def _deps_of(joint: JointTable) -> list[Variable]:
@@ -267,35 +280,21 @@ def remainder_relation_checks(
     all_deps = VarSet(deps)
     head = VarSet((HEAD,))
 
-    lhs1 = mutual_information(joint, head, all_deps)
-    rest1 = VarSet(deps[1:])
-    rhs1 = mutual_information(joint, VarSet((deps[0],)), head | rest1)
-    if n == 1:
-        first = relation_check(
-            "remainder k=1 (head first)", Relation.EQ, lhs1, rhs1, tol,
-            equality_condition="single dependent (symmetry)",
-        )
-    else:
-        first = relation_check(
-            "remainder k=1 (head first)", Relation.GE, lhs1, rhs1, tol,
-            equality_condition=f"head -> dep1 -> {_range_name(2, n)}",
-            diagnose=lambda: is_markov_chain(joint, head, VarSet((deps[0],)), rest1, tol=tol),
-        )
-
-    lhs2 = mutual_information(joint, all_deps, head)
-    lead2 = VarSet(deps[:-1])
-    rhs2 = mutual_information(joint, head | lead2, VarSet((deps[-1],)))
-    if n == 1:
-        last = relation_check(
-            f"remainder k={n} (head last)", Relation.EQ, lhs2, rhs2, tol,
-            equality_condition="single dependent (symmetry)",
-        )
-    else:
-        last = relation_check(
-            f"remainder k={n} (head last)", Relation.GE, lhs2, rhs2, tol,
-            equality_condition=f"{_range_name(1, n - 1)} -> dep{n} -> head",
-            diagnose=lambda: is_markov_chain(joint, lead2, VarSet((deps[-1],)), head, tol=tol),
-        )
+    relation = Relation.EQ if n == 1 else Relation.GE
+    dep1, rest1 = VarSet(deps[:1]), VarSet(deps[1:])
+    first = relation_check(
+        "remainder k=1 (head first)", relation,
+        mutual_information(joint, head, all_deps),
+        mutual_information(joint, dep1, head | rest1), tol,
+        joint, chain=None if n == 1 else (head, dep1, rest1),
+    )
+    lead, dep_n = VarSet(deps[:-1]), VarSet(deps[-1:])
+    last = relation_check(
+        f"remainder k={n} (head last)", relation,
+        mutual_information(joint, all_deps, head),
+        mutual_information(joint, head | lead, dep_n), tol,
+        joint, chain=None if n == 1 else (lead, dep_n, head),
+    )
     return first, last
 
 
@@ -343,39 +342,28 @@ def verify_pending_theorem(
 
     lhs1 = mutual_information(joint, head | lead, target)
     rhs1 = mutual_information(joint, first_k, head)
-    if k == 1 and j == 1:
-        part1 = relation_check(
-            f"pending part1 k={k} j={j}", Relation.EQ, lhs1, rhs1, tol,
-            equality_condition="k=1 (symmetry)",
-        )
-    else:
-        part1 = relation_check(
-            f"pending part1 k={k} j={j}", Relation.LE, lhs1, rhs1, tol,
-            equality_condition=(
-                "k=1 (symmetry)" if k == 1
-                else f"head -> dep{j} -> {_range_name(1, k - 1)}"
-            ),
-            diagnose=None if k == 1 else (
-                lambda: is_markov_chain(joint, head, target, lead, tol=tol)
-            ),
+    # At k = 1 part 1 reads I(head; dep j) <= I(dep1; head): MI symmetry when
+    # j = 1, and with no produced dependent there is no chain to diagnose.
+    checks = [
+        relation_check(
+            f"pending part1 k={k} j={j}",
+            Relation.EQ if k == j == 1 else Relation.LE, lhs1, rhs1, tol,
+            joint, chain=None if k == 1 else (head, target, lead),
             cross_slot=j > k,
         )
-    checks = [part1]
-
+    ]
     if j > k:
         lhs23 = mutual_information(joint, first_k, target)
         checks.append(
             relation_check(
                 f"pending part2 k={k} j={j}", Relation.LE, lhs23, rhs1, tol,
-                equality_condition=f"{_range_name(1, k)} -> dep{j} -> head",
-                diagnose=lambda: is_markov_chain(joint, first_k, target, head, tol=tol),
+                joint, chain=(first_k, target, head),
             )
         )
         checks.append(
             relation_check(
                 f"pending part3 k={k} j={j}", Relation.LE, lhs23, lhs1, tol,
-                equality_condition=f"head -> {_range_name(1, k)} -> dep{j}",
-                diagnose=lambda: is_markov_chain(joint, head, first_k, target, tol=tol),
+                joint, chain=(head, first_k, target),
             )
         )
     return tuple(checks)
@@ -398,10 +386,7 @@ def verify_irrelevance(
     target = VarSet((dep(j),))
     lhs = mutual_information(joint, head | dep_range(1, k), target)
     rhs = mutual_information(joint, head, target)
-    return relation_check(
-        f"irrelevance k={k} j={j}", Relation.EQ, lhs, rhs, tol,
-        equality_condition="dependents conditionally independent given the head",
-    )
+    return relation_check(f"irrelevance k={k} j={j}", Relation.EQ, lhs, rhs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -452,87 +437,63 @@ def lattice_report(
         raise ValidationError(f"lattice stage needs 1 <= k < n, got k={k}, n={n}")
     joint = model.joint
     head = VarSet((HEAD,))
+    first_k, lead = dep_range(1, k), dep_range(1, k - 1)  # lead is empty when k == 1
+    dep_k, dep_k1 = VarSet((dep(k),)), VarSet((dep(k + 1),))
 
     cells: dict[str, Nats] = {
-        "head_pred_k": mutual_information(joint, dep_range(1, k), head),
-        "head_pred_k1": mutual_information(joint, dep_range(1, k + 1), head),
-        "dep_with_head_k": mutual_information(
-            joint, head | dep_range(1, k - 1), VarSet((dep(k),))
-        ),
-        "dep_with_head_k1": mutual_information(
-            joint, head | dep_range(1, k), VarSet((dep(k + 1),))
-        ),
-        "dep_without_head_k": mutual_information(
-            joint, dep_range(1, k), VarSet((dep(k + 1),))
-        ),
+        "head_pred_k": mutual_information(joint, first_k, head),
+        "head_pred_k1": mutual_information(joint, first_k | dep_k1, head),
+        "dep_with_head_k": mutual_information(joint, head | lead, dep_k),
+        "dep_with_head_k1": mutual_information(joint, head | first_k, dep_k1),
+        "dep_without_head_k": mutual_information(joint, first_k, dep_k1),
     }
     has_next = k + 2 <= n
     if has_next:
-        cells["dep_without_head_k1"] = mutual_information(
-            joint, dep_range(1, k + 1), VarSet((dep(k + 2),))
-        )
-
-    def chain(x, y, z):
-        return lambda: is_markov_chain(joint, x, y, z, tol=tol)
+        dep_k2 = VarSet((dep(k + 2),))
+        cells["dep_without_head_k1"] = mutual_information(joint, first_k | dep_k1, dep_k2)
 
     checks = [
         relation_check(
             f"lattice k={k} (1) head-predictability-grows",
             Relation.LE, cells["head_pred_k"], cells["head_pred_k1"], tol,
-            equality_condition=f"dep{k + 1} -> {_range_name(1, k)} -> head",
-            diagnose=chain(VarSet((dep(k + 1),)), dep_range(1, k), head),
+            joint, chain=(dep_k1, first_k, head),
         ),
         relation_check(
             f"lattice k={k} (2) head-beats-dep-at-k",
             Relation.LE, cells["dep_with_head_k"], cells["head_pred_k"], tol,
-            equality_condition=(
-                "k=1 (symmetry)" if k == 1
-                else f"head -> dep{k} -> {_range_name(1, k - 1)}"
-            ),
-            diagnose=None if k == 1 else chain(head, VarSet((dep(k),)), dep_range(1, k - 1)),
+            joint, chain=None if k == 1 else (head, dep_k, lead),
         ),
         relation_check(
             f"lattice k={k} (3) head-beats-dep-at-k+1",
             Relation.LE, cells["dep_with_head_k1"], cells["head_pred_k1"], tol,
-            equality_condition=f"head -> dep{k + 1} -> {_range_name(1, k)}",
-            diagnose=chain(head, VarSet((dep(k + 1),)), dep_range(1, k)),
+            joint, chain=(head, dep_k1, first_k),
         ),
+        # Equal when the pending slots are identically distributed given the head.
         relation_check(
             f"lattice k={k} (4) produced-deps-do-not-help",
             Relation.EQ, cells["dep_with_head_k"], cells["dep_with_head_k1"], tol,
-            equality_condition="pending slots identically distributed given the head",
             cross_slot=True,
         ),
         relation_check(
             f"lattice k={k} (5) early-head-helps-at-k",
             Relation.LE, cells["dep_without_head_k"], cells["dep_with_head_k"], tol,
-            equality_condition=f"head -> {_range_name(1, k)} -> dep{k + 1}",
-            diagnose=chain(head, dep_range(1, k), VarSet((dep(k + 1),))),
-            cross_slot=True,
+            joint, chain=(head, first_k, dep_k1), cross_slot=True,
         ),
     ]
     not_applicable: tuple[int, ...] = ()
     if has_next:
-        checks.append(
+        checks += [
             relation_check(
                 f"lattice k={k} (6) early-head-helps-at-k+1",
                 Relation.LE, cells["dep_without_head_k1"], cells["dep_with_head_k1"], tol,
-                equality_condition=f"head -> {_range_name(1, k + 1)} -> dep{k + 2}",
-                diagnose=chain(head, dep_range(1, k + 1), VarSet((dep(k + 2),))),
-                cross_slot=True,
-            )
-        )
-        checks.append(
+                joint, chain=(head, first_k | dep_k1, dep_k2), cross_slot=True,
+            ),
             relation_check(
                 f"lattice k={k} (7) dep-predictability-grows",
                 Relation.LE, cells["dep_without_head_k"], cells["dep_without_head_k1"], tol,
-                equality_condition=f"dep{k + 1} -> {_range_name(1, k)} -> dep{k + 2}",
-                diagnose=chain(
-                    VarSet((dep(k + 1),)), dep_range(1, k), VarSet((dep(k + 2),))
-                ),
-                cross_slot=True,
-            )
-        )
+                joint, chain=(dep_k1, first_k, dep_k2), cross_slot=True,
+            ),
+        ]
     else:
         not_applicable = (6, 7)
     return LatticeReport(
@@ -594,14 +555,16 @@ class Objective(enum.Enum):
 
 @dataclass(frozen=True)
 class PlacementSearchResult:
-    """Scores for every head position, the tied argmax set, and full profiles."""
+    """Scores for every head position (1..n+1) and the tied argmax set.
+
+    Per-stage detail for a position comes from ``placement_profile``.
+    """
 
     objective: Objective
     k: int | None
     aggregate: str
     scores: tuple[Nats, ...]
     best_positions: tuple[int, ...]
-    profiles: tuple[ProfileReport, ...]
 
 
 def optimal_head_position(
@@ -611,7 +574,6 @@ def optimal_head_position(
     dependent_order: tuple[int, ...] = (),
     aggregate: str = "min",
     tol: float = DEFAULT_TOLERANCE,
-    include_profiles: bool = True,
 ) -> PlacementSearchResult:
     """Search head positions ``1..n+1`` for the best score under an objective.
 
@@ -636,7 +598,6 @@ def optimal_head_position(
     joint = model.joint
 
     scores: list[Nats] = []
-    profiles: list[ProfileReport] = []
     for position in range(1, n + 2):
         placement = Placement(n=n, head_position=position, dependent_order=dependent_order)
         seq = placement.sequence()
@@ -644,33 +605,22 @@ def optimal_head_position(
             before_head = VarSet(seq[: position - 1])
             score = _mi_or_zero(joint, before_head, VarSet((HEAD,)))
         elif objective is Objective.DEPENDENT_PREDICTABILITY:
-            produced = VarSet(seq[:1])
-            pending_deps = [v for v in seq[1:] if not v.is_head]
-            values = [
-                _mi_or_zero(joint, produced, VarSet((v,))) for v in pending_deps
-            ]
-            if not values:
+            first = VarSet(seq[:1])
+            values = [_mi_or_zero(joint, first, VarSet((v,))) for v in seq[1:] if not v.is_head]
+            if not values:  # n = 1 with the head second: no dependent is pending
                 score = 0.0
-            elif aggregate == "min":
-                score = min(values)
             else:
-                score = sum(values) / len(values)
+                score = min(values) if aggregate == "min" else sum(values) / len(values)
         else:
             view = stage_view(placement, k)
             score = _mi_or_zero(joint, view.produced, view.pending)
         scores.append(score)
-        if include_profiles:
-            profiles.append(placement_profile(joint, placement))
 
     best = max(scores)
-    best_positions = tuple(
-        p for p, s in enumerate(scores, start=1) if best - s <= tol
-    )
     return PlacementSearchResult(
         objective=objective,
         k=k if objective is Objective.REMAINDER_AT_K else None,
         aggregate=aggregate,
         scores=tuple(scores),
-        best_positions=best_positions,
-        profiles=tuple(profiles),
+        best_positions=tuple(p for p, s in enumerate(scores, start=1) if best - s <= tol),
     )

@@ -19,6 +19,7 @@ failing model is serialised to disk next to the report for a post-mortem.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 import time
 from dataclasses import dataclass, fields
@@ -101,18 +102,39 @@ class RunConfig:
     workers: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_values", tuple(self.n_values))
-        object.__setattr__(self, "head_sizes", tuple(self.head_sizes))
-        object.__setattr__(self, "dep_sizes", tuple(self.dep_sizes))
-        if self.tolerance <= 0:
+        # Types first, so that a malformed config file is a ValidationError and
+        # not a TypeError deep inside the sweep.  operator.index refuses 1.5
+        # and "ten" where an integer belongs.
+        ints = ("sweep_size", "seed") + (("workers",) if self.workers is not None else ())
+        lists = ("n_values", "head_sizes", "dep_sizes")
+        name = ""
+        try:
+            for name in ints:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            for name in lists:
+                object.__setattr__(self, name, tuple(map(operator.index, getattr(self, name))))
+            for name in ("tolerance", "concentration"):
+                if not isinstance(getattr(self, name), (int, float)):
+                    raise TypeError
+        except TypeError:
+            what = ("an integer" if name in ints
+                    else "a list of integers" if name in lists else "a number")
+            raise ValidationError(f"{name} must be {what}, got {getattr(self, name)!r}") from None
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValidationError(f"out must be a path string, got {self.out!r}")
+        if not isinstance(self.timestamp, bool):
+            raise ValidationError(f"timestamp must be true or false, got {self.timestamp!r}")
+        if not self.tolerance > 0:
             raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
         if self.sweep_size < 1:
             raise ValidationError(f"sweep size must be >= 1, got {self.sweep_size}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValidationError(f"n values must all be >= 1, got {self.n_values}")
         if any(s < 1 for s in self.head_sizes + self.dep_sizes):
             raise ValidationError("alphabet sizes must all be >= 1")
-        if self.concentration <= 0:
+        if not self.concentration > 0:
             raise ValidationError(
                 f"concentration must be positive, got {self.concentration}"
             )
@@ -189,32 +211,29 @@ def _row(model_id: str, theorem: str, check: RelationCheck) -> SweepRow:
 def theorem_battery(
     model: FactoredModel,
     tol: float = DEFAULT_TOLERANCE,
-    cross_slot: bool | None = None,
     aggregate: str = "min",
 ) -> list[tuple[str, RelationCheck]]:
     """Every guaranteed relation for one model, as (theorem, check) pairs.
 
-    ``cross_slot`` controls whether the slot-comparing relations (the checks
-    marked ``cross_slot``: full pending part 1 and lattice relations 4..7) are
-    included; by default they are included exactly when the model's
-    dependents share one conditional table.
+    The slot-comparing relations (the checks marked ``cross_slot``: full
+    pending part 1 and lattice relations 4..7) are included exactly when the
+    model's dependents share one conditional table.
     """
-    if cross_slot is None:
-        cross_slot = model.has_identical_channels
     n = model.n
     joint = model.joint
     head = VarSet((HEAD,))
     all_deps = dep_range(1, n)
     out: list[tuple[str, RelationCheck]] = []
 
-    # Exact identities of the information measures.  The entropy table
-    # satisfies them by construction, so symmetry is checked on the
-    # direct-summation path and the chain rule against it.
+    # Exact identities of the information measures: MI is symmetric, and the
+    # chain rule holds.  The entropy table satisfies them by construction, so
+    # symmetry is checked on the direct-summation path and the chain rule
+    # against it.
     out.append(
         ("identity", relation_check(
             "symmetry head-vs-deps", Relation.EQ,
             direct_mutual_information(joint, head, all_deps),
-            direct_mutual_information(joint, all_deps, head), 0.0, "MI is symmetric",
+            direct_mutual_information(joint, all_deps, head), 0.0,
         ))
     )
     if n >= 2:
@@ -224,7 +243,7 @@ def theorem_battery(
             ("identity", relation_check(
                 "symmetry dep1-vs-rest", Relation.EQ,
                 direct_mutual_information(joint, first, head | rest),
-                direct_mutual_information(joint, head | rest, first), 0.0, "MI is symmetric",
+                direct_mutual_information(joint, head | rest, first), 0.0,
             ))
         )
         for name, x1, x2, y in (
@@ -234,88 +253,68 @@ def theorem_battery(
             out.append(
                 ("identity", relation_check(
                     name, Relation.EQ, chain_rule_residual(joint, x1, x2, y), 0.0, tol,
-                    "chain rule of mutual information",
                 ))
             )
-        # Dependents are independent given the head: prefix splits and pairs.
-        # (For n = 2 the k=1 split *is* the only pair; keep each split once.)
+        # Dependents are independent given the head: prefix splits, then pairs
+        # (for n = 2 the one pair is the k=1 split, so it is checked once).
         splits = [(dep_range(1, k), dep_range(k + 1, n)) for k in range(1, n)]
         splits += [
             (dep_range(i, i), dep_range(j, j))
             for i in range(1, n + 1)
             for j in range(i + 1, n + 1)
+            if n > 2
         ]
-        seen: set[tuple[tuple[str, ...], tuple[str, ...]]] = set()
         for left, right in splits:
-            key = (left.names, right.names)
-            if key in seen:
-                continue
-            seen.add(key)
             residual = conditional_mutual_information(joint, left, right, head)
-            name = (
-                f"independence {'+'.join(left.names)} vs {'+'.join(right.names)}"
-            )
+            name = f"independence {'+'.join(left.names)} vs {'+'.join(right.names)}"
             out.append(
                 ("given-head-independence", relation_check(
                     name, Relation.EQ, residual, 0.0, INDEPENDENCE_TOL,
-                    "dependents independent given the head",
                 ))
             )
 
-    for check in remainder_relation_checks(joint, tol):
-        out.append(("remainder", check))
-
+    out += [("remainder", check) for check in remainder_relation_checks(joint, tol)]
     for k in range(1, n + 1):
         for j in range(k, n + 1):
-            for check in verify_pending_theorem(model, k, j, tol):
-                if cross_slot or not check.cross_slot:
-                    out.append(("pending", check))
-
+            out += [("pending", check) for check in verify_pending_theorem(model, k, j, tol)]
     for k in range(1, n + 1):
         for j in range(k + 1, n + 1):
             out.append(("irrelevance", verify_irrelevance(model, k, j, tol)))
-
     for k in range(1, n):
-        for check in lattice_report(model, k, tol).checks:
-            if cross_slot or not check.cross_slot:
-                out.append(("lattice", check))
+        out += [("lattice", check) for check in lattice_report(model, k, tol).checks]
 
     # Harmony contracts: which head positions attain each objective's max.
-    head_scores = optimal_head_position(
-        model, Objective.HEAD_PREDICTABILITY, include_profiles=False
-    ).scores
+    # Producing every dependent first can only add information about the
+    # head, and the head informs every dependent at least as well as a
+    # sibling does.
+    head_scores = optimal_head_position(model, Objective.HEAD_PREDICTABILITY).scores
     out.append(
         ("harmony", relation_check(
             "head-last attains head-predictability max", Relation.EQ,
             max(head_scores), head_scores[n], 0.0,
-            "producing every dependent first can only add information",
         ))
     )
     dep_scores = optimal_head_position(
-        model,
-        Objective.DEPENDENT_PREDICTABILITY,
-        aggregate=aggregate,
-        include_profiles=False,
+        model, Objective.DEPENDENT_PREDICTABILITY, aggregate=aggregate
     ).scores
     out.append(
         ("harmony", relation_check(
             "head-first attains dependent-predictability max", Relation.EQ,
             max(dep_scores), dep_scores[0], tol,
-            "the head informs every dependent at least as well as a sibling",
         ))
     )
     if n == 1:
-        remainder = optimal_head_position(
-            model, Objective.REMAINDER_AT_K, k=1, include_profiles=False
-        ).scores
+        # A single dependent: both orders give I(head; dep1), by symmetry.
+        remainder = optimal_head_position(model, Objective.REMAINDER_AT_K, k=1).scores
         out.append(
             ("harmony", relation_check(
                 "n=1 head-first equals head-last", Relation.EQ,
                 remainder[0] - remainder[1], 0.0, INDEPENDENCE_TOL,
-                "single dependent (symmetry)",
             ))
         )
-    return out
+    if model.has_identical_channels:
+        return out
+    return [(theorem, check) for theorem, check in out if not check.cross_slot]
 
 
 def checks_for_joint(joint: JointTable, tol: float = DEFAULT_TOLERANCE) -> list[tuple[str, RelationCheck]]:
@@ -330,12 +329,10 @@ def checks_for_joint(joint: JointTable, tol: float = DEFAULT_TOLERANCE) -> list[
     rows: list[tuple[str, RelationCheck]] = [
         ("factorization", relation_check(
             "dependents independent given head", Relation.EQ,
-            report.max_violation, 0.0, report.tolerance, "factored model assumption",
+            report.max_violation, 0.0, report.tolerance,
         ))
     ]
-    for check in remainder_relation_checks(joint, tol):
-        rows.append(("remainder", check))
-    return rows
+    return rows + [("remainder", check) for check in remainder_relation_checks(joint, tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +379,6 @@ def _battery_rows(task: SweepTask, tol: float, aggregate: str) -> list[SweepRow]
     ]
 
 
-def _battery_worker(args: tuple[SweepTask, float, str]) -> list[SweepRow]:
-    return _battery_rows(*args)
-
-
 @dataclass
 class SweepResult:
     config: RunConfig
@@ -411,7 +404,7 @@ def run_sweep(config: RunConfig) -> SweepResult:
         ctx = get_context()
         args = [(t, config.tolerance, config.aggregate) for t in tasks]
         with ctx.Pool(processes=workers) as pool:
-            per_task = pool.map(_battery_worker, args, chunksize=8)
+            per_task = pool.starmap(_battery_rows, args, chunksize=8)
     else:
         per_task = [
             _battery_rows(t, config.tolerance, config.aggregate) for t in tasks
@@ -457,9 +450,7 @@ def write_witnesses(result: SweepResult, directory: str | Path) -> list[Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for model_id in sorted({r.model_id for r in result.failures}):
-        spec = by_id.get(model_id)
-        if spec is None:
-            continue
+        spec = by_id[model_id]
         path = directory / f"witness-{model_id}.json"
         save_model(
             random_model(spec),

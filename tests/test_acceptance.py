@@ -160,19 +160,17 @@ def test_criterion_4_harmony_argmax_contracts(capsys, full_sweep):
                           identical_channels=identical)
             )
             head_best = optimal_head_position(
-                model, Objective.HEAD_PREDICTABILITY, include_profiles=False
+                model, Objective.HEAD_PREDICTABILITY
             ).best_positions
             dep_best = optimal_head_position(
-                model, Objective.DEPENDENT_PREDICTABILITY, include_profiles=False
+                model, Objective.DEPENDENT_PREDICTABILITY
             ).best_positions
             if n + 1 not in head_best:
                 problems.append(f"seed {seed}: head-last not optimal for the head")
             if 1 not in dep_best:
                 problems.append(f"seed {seed}: head-first not optimal for dependents")
 
-    single = optimal_head_position(
-        copy_model(1, 2, 0.2), Objective.REMAINDER_AT_K, k=1, include_profiles=False
-    )
+    single = optimal_head_position(copy_model(1, 2, 0.2), Objective.REMAINDER_AT_K, k=1)
     if single.best_positions != (1, 2):
         problems.append("n=1: head-first and head-last should tie")
     if abs(single.scores[0] - single.scores[1]) > 1e-12:

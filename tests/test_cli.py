@@ -1,5 +1,7 @@
 """End-to-end command-line behaviour, driven in-process through main()."""
 
+import csv
+import io
 import json
 import math
 
@@ -153,6 +155,108 @@ def test_verify_missing_input_is_a_clean_error(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--input", str(tmp_path / "nope.json"))
     assert code == 2
     assert "error:" in err
+
+
+#: The equality_diagnosis cells of `verify --input` on copy_model(3, 2, 0.0):
+#: every relation whose two sides meet, with the Markov chain that explains it.
+COPY3_DIAGNOSES = {
+    "lattice k=1 (1) head-predictability-grows": "dep2 -> dep1 -> head",
+    "lattice k=1 (3) head-beats-dep-at-k+1": "head -> dep2 -> dep1",
+    "lattice k=1 (5) early-head-helps-at-k": "head -> dep1 -> dep2",
+    "lattice k=1 (6) early-head-helps-at-k+1": "head -> dep1..2 -> dep3",
+    "lattice k=1 (7) dep-predictability-grows": "dep2 -> dep1 -> dep3",
+    "lattice k=2 (1) head-predictability-grows": "dep3 -> dep1..2 -> head",
+    "lattice k=2 (2) head-beats-dep-at-k": "head -> dep2 -> dep1",
+    "lattice k=2 (3) head-beats-dep-at-k+1": "head -> dep3 -> dep1..2",
+    "lattice k=2 (5) early-head-helps-at-k": "head -> dep1..2 -> dep3",
+    "pending part1 k=2 j=2": "head -> dep2 -> dep1",
+    "pending part1 k=2 j=3": "head -> dep3 -> dep1",
+    "pending part1 k=3 j=3": "head -> dep3 -> dep1..2",
+    "pending part2 k=1 j=2": "dep1 -> dep2 -> head",
+    "pending part2 k=1 j=3": "dep1 -> dep3 -> head",
+    "pending part2 k=2 j=3": "dep1..2 -> dep3 -> head",
+    "pending part3 k=1 j=2": "head -> dep1 -> dep2",
+    "pending part3 k=1 j=3": "head -> dep1 -> dep3",
+    "pending part3 k=2 j=3": "head -> dep1..2 -> dep3",
+    "remainder k=1 (head first)": "head -> dep1 -> dep2..3",
+    "remainder k=3 (head last)": "dep1..2 -> dep3 -> head",
+}
+
+
+def test_verify_input_pins_the_diagnosis_text(capsys, tmp_path):
+    path = gen_copy(capsys, tmp_path, n=3, noise=0.0)
+    code, out, _ = run(capsys, "verify", "--input", str(path), "--no-timestamp")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    diagnoses = {r["relation"]: r["equality_diagnosis"] for r in rows if r["equality_diagnosis"]}
+    assert diagnoses == {
+        relation: f"{chain} [residual=0.000000e+00 chain=yes]"
+        for relation, chain in COPY3_DIAGNOSES.items()
+    }
+
+
+def _copy_model_json(**changes):
+    obj = {
+        "format": "harmonia-model", "version": 1,
+        "head_alphabet": {"size": 2}, "dep_alphabets": [{"size": 2}],
+        "head_prior": [0.5, 0.5], "cond_tables": [[[0.9, 0.1], [0.1, 0.9]]],
+    }
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        # joint cells [[nan, .25], [.25, .5]]: NaN must not pass as a probability
+        {"format": "harmonia-joint", "version": 1, "variables": ["head", "dep1"],
+         "alphabets": [{"size": 2}, {"size": 2}],
+         "probabilities": [[math.nan, 0.25], [0.25, 0.5]]},
+        _copy_model_json(head_prior=[math.nan, 0.5]),
+    ],
+    ids=["nan-joint-cell", "nan-head-prior"],
+)
+def test_verify_input_rejects_nan_probabilities(capsys, tmp_path, document):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(document))
+    code, _, err = run(capsys, "verify", "--input", str(path), "--no-timestamp")
+    assert code == 2
+    assert err.startswith(f"error: {path}:")
+
+
+@pytest.mark.parametrize(
+    "kind, content",
+    [
+        ("config", {"sweep_size": "ten"}),
+        ("config", {"n_values": 3}),
+        ("config", {"tolerance": "x"}),
+        ("config", {"seed": 1.5}),
+        ("config", {"workers": 1.5}),
+        ("config", {"timestamp": "no"}),
+        ("model", _copy_model_json(head_prior="ab")),
+        ("model", _copy_model_json(cond_tables=[[[0.9, 0.1], [1.0]]])),
+        ("model", _copy_model_json(head_alphabet={"size": "two"})),
+        ("model", _copy_model_json(dep_alphabets=5)),
+        ("gen", None),
+    ],
+    ids=["sweep-size-text", "n-values-scalar", "tolerance-text", "seed-float",
+         "workers-float", "timestamp-text", "head-prior-text", "ragged-table", "size-text",
+         "dep-alphabets-scalar", "gen-negative-seed"],
+)
+def test_malformed_input_exits_2(capsys, tmp_path, kind, content):
+    """A broken input is a usage error (exit 2), never a traceback or exit 1."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "gen":
+        argv = ["gen", "random", "--n", "2", "--seed", "-1", "--out", str(path)]
+    else:
+        path.write_text(json.dumps(content))
+        flag = "--config" if kind == "config" else "--input"
+        argv = ["verify", flag, str(path), "--no-timestamp"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    if kind != "gen":
+        assert str(path) in err
 
 
 # -- profile --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from harmonia import (
     dep_range,
     independent_model,
 )
+from harmonia import distributions
 from oracles import brute_marginal
 
 
@@ -188,11 +189,13 @@ def test_condition_on_zero_probability_event_raises():
         joint.condition(HEAD, 1)
 
 
-def test_joint_cell_cap_enforced():
+def test_joint_cell_cap_enforced(monkeypatch):
     model = independent_model(3, sizes=(10, 10, 10, 10))
+    monkeypatch.setattr(distributions, "MAX_JOINT_CELLS", 9_999)
     with pytest.raises(JointSizeError):
-        build_joint(model, max_cells=9_999)
-    assert build_joint(model, max_cells=10_000).probs.size == 10_000
+        build_joint(model)
+    monkeypatch.setattr(distributions, "MAX_JOINT_CELLS", 10_000)
+    assert build_joint(model).probs.size == 10_000
 
 
 def test_joint_table_rejects_bad_mass():
@@ -207,6 +210,24 @@ def test_joint_table_rejects_bad_mass():
             variables=(HEAD,),
             alphabets=(Alphabet(2),),
             probs=np.array([1.2, -0.2]),
+        )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_probabilities_are_rejected(bad):
+    """NaN fails every comparison, so a check written as `p < 0` lets it through."""
+    with pytest.raises(ValidationError):
+        JointTable(
+            variables=(HEAD, dep(1)),
+            alphabets=(Alphabet(2), Alphabet(2)),
+            probs=np.array([[bad, 0.25], [0.25, 0.5]]),
+        )
+    with pytest.raises(ValidationError, match="head prior"):
+        FactoredModel(
+            head_alphabet=Alphabet(2),
+            dep_alphabets=(Alphabet(2),),
+            head_prior=np.array([bad, 0.5]),
+            cond_tables=(np.array([[0.5, 0.5], [0.5, 0.5]]),),
         )
 
 

@@ -257,3 +257,23 @@ def test_samples_must_match_the_scored_placement():
     samples = sample(model, Placement.head_first(2), 10, seed=0)
     with pytest.raises(ValidationError, match="different placement"):
         next_element_score(model, Placement.head_last(2), k=1, samples=samples)
+
+
+def test_sample_and_score_share_one_joint(monkeypatch):
+    """`sample --score-k` builds the model's joint once, not once per step."""
+    from harmonia import distributions, estimation
+
+    calls = []
+    real = distributions.build_joint
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(distributions, "build_joint", counting)
+    monkeypatch.setattr(estimation, "build_joint", counting, raising=False)
+    model = copy_model(3, 2, 0.1)
+    placement = Placement(n=3, head_position=2)
+    samples = sample(model, placement, count=200, seed=5)
+    next_element_score(model, placement, 2, samples=samples)
+    assert calls == [model]

@@ -118,7 +118,8 @@ def test_mi_symmetry_is_bit_exact(seed):
 def test_mi_never_meaningfully_negative(seed):
     """Raw summation noise stays within the clamp band; clamped value is >= 0."""
     joint = random_joint(seed, concentration=5.0)
-    raw = mutual_information(joint, HEAD, dep(2), clamp=False)
+    h = joint.entropy_of  # axis 0 is the head, axis 2 is dep2
+    raw = h(0b001) + h(0b100) - h(0b101)
     assert raw >= -1e-12
     assert mutual_information(joint, HEAD, dep(2)) >= 0.0
 

@@ -374,16 +374,14 @@ def test_optimal_head_position_copy_model():
     assert res.best_positions == (3,)
     assert res.scores[0] == 0.0
     assert res.scores[1] < res.scores[2]
-    assert len(res.profiles) == 3
 
     dep_res = optimal_head_position(model, Objective.DEPENDENT_PREDICTABILITY)
     assert dep_res.best_positions == (1,)
 
 
 def test_optimal_head_position_objective_from_string():
-    res = optimal_head_position(copy_model(2, 2, 0.1), "head", include_profiles=False)
+    res = optimal_head_position(copy_model(2, 2, 0.1), "head")
     assert res.objective is Objective.HEAD_PREDICTABILITY
-    assert res.profiles == ()
 
 
 def test_optimal_head_position_ties_on_independent_model():
@@ -416,22 +414,17 @@ def test_head_position_contracts_on_random_models(seed, identical):
         model = shared_channel(seed, n=n)
     else:
         model = heterogeneous(seed, n=n, dep_sizes=(3, 2, 2, 4)[:n])
-    head_res = optimal_head_position(
-        model, Objective.HEAD_PREDICTABILITY, include_profiles=False
-    )
+    head_res = optimal_head_position(model, Objective.HEAD_PREDICTABILITY)
     assert n + 1 in head_res.best_positions
     for aggregate in ("min", "mean"):
         dep_res = optimal_head_position(
-            model, Objective.DEPENDENT_PREDICTABILITY, aggregate=aggregate,
-            include_profiles=False,
+            model, Objective.DEPENDENT_PREDICTABILITY, aggregate=aggregate
         )
         assert 1 in dep_res.best_positions
 
 
 def test_dependent_predictability_all_late_positions_tie():
     """Any head position >= 2 produces the same first element, so they tie."""
-    res = optimal_head_position(
-        copy_model(3, 2, 0.1), Objective.DEPENDENT_PREDICTABILITY, include_profiles=False
-    )
+    res = optimal_head_position(copy_model(3, 2, 0.1), Objective.DEPENDENT_PREDICTABILITY)
     late = res.scores[1:]
     assert max(late) - min(late) <= 1e-12

@@ -170,12 +170,6 @@ def test_cross_slot_marks_exactly_the_slot_comparing_relations():
         assert check.cross_slot == slot_comparing, name
 
 
-def test_battery_cross_slot_override():
-    model = copy_model(2, 2, 0.1)
-    forced_off = theorem_battery(model, cross_slot=False)
-    assert not any("(4)" in check.name for _, check in forced_off)
-
-
 def test_battery_n1_has_the_symmetry_harmony_check():
     pairs = theorem_battery(copy_model(1, 2, 0.2))
     names = [check.name for _, check in pairs]
