@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import sys
 from dataclasses import asdict, replace
@@ -25,7 +26,7 @@ from .distributions import (
     check_factorization,
     dep_range,
 )
-from .estimation import next_element_score, sample
+from .estimation import check_stage, next_element_score, sample
 from .generators import (
     ModelSpec,
     copy_model,
@@ -168,13 +169,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
         tol=args.tol,
     )
     with _open_out(args.out) as out:
-        out.write("head_position,k,measure,target,nats\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("head_position", "k", "measure", "target", "nats"))
         for pos in range(1, model.n + 2):
             placement = Placement(n=model.n, head_position=pos, dependent_order=order)
             for row in placement_profile(model.joint, placement).rows:
-                out.write(f"{pos},{row.k},remainder,,{row.remainder!r}\n")
+                writer.writerow((pos, row.k, "remainder", "", repr(row.remainder)))
                 for variable, value in row.pending_elements:
-                    out.write(f"{pos},{row.k},element,{variable.name},{value!r}\n")
+                    writer.writerow((pos, row.k, "element", variable.name, repr(value)))
     best = ", ".join(str(p) for p in result.best_positions)
     score = max(result.scores)
     print(
@@ -196,15 +198,16 @@ def cmd_typology(args: argparse.Namespace) -> int:
     rows = load_typology(args.data)
     report = typology_report(rows)
     with _open_out(args.out) as out:
-        out.write(
-            "source,unit,order_position,frequency,percentage,"
-            "recomputed_percentage,consistent\n"
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(
+            ("source", "unit", "order_position", "frequency", "percentage",
+             "recomputed_percentage", "consistent")
         )
         for group in report.groups:
             for row, recomputed, ok in zip(group.rows, group.recomputed, group.consistent):
-                out.write(
-                    f"{row.source},{row.unit},{row.order_position},{row.frequency},"
-                    f"{row.percentage},{recomputed:.4f},{'true' if ok else 'false'}\n"
+                writer.writerow(
+                    (row.source, row.unit, row.order_position, row.frequency,
+                     row.percentage, f"{recomputed:.4f}", "true" if ok else "false")
                 )
     for group in report.groups:
         trend = "increasing" if group.counts_monotonic else "NOT increasing"
@@ -298,6 +301,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
     placement = Placement(
         n=model.n, head_position=args.head_position, dependent_order=args.order or ()
     )
+    if args.score_k is not None:
+        check_stage(args.score_k, model.n)
     samples = sample(model, placement, count=args.count, seed=args.seed)
     with _open_out(args.out) as out:
         samples.to_csv(out, labels=args.labels)
@@ -342,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--out", default=None, help="report CSV path (default stdout)")
     p_verify.add_argument("--no-timestamp", action="store_true")
     p_verify.add_argument("--workers", type=int, default=None,
-                          help="parallel workers (capped by HARMONIA_THREADS and the CPU count)")
+                          help="parallel workers (default 1, capped by the CPU count)")
     p_verify.add_argument("--input", default=None,
                           help="check one model/joint file instead of sweeping")
     p_verify.add_argument("--witness-dir", default=None)

@@ -68,16 +68,15 @@ class SampleSet:
             raise ValidationError(f"{v.name} is not a sampled variable") from None
 
     def to_csv(self, out: IO[str], labels: bool = False) -> None:
-        """Write a headered CSV, one column per sequence position."""
+        """Write a headered CSV, one column per sequence position: each value
+        as its label with ``labels``, else as its index."""
+        tables = [
+            np.array([a.label(i) if labels else str(i) for i in range(a.size)], dtype=object)
+            for a in self.alphabets
+        ]
         writer = csv.writer(out)
         writer.writerow(v.name for v in self.variables)
-        if labels:
-            for row in self.rows:
-                writer.writerow(
-                    alpha.label(int(v)) for alpha, v in zip(self.alphabets, row)
-                )
-        else:
-            writer.writerows(self.rows.tolist())
+        writer.writerows(zip(*(table[self.rows[:, c]] for c, table in enumerate(tables))))
 
 
 def sample(
@@ -140,6 +139,12 @@ def plug_in_mi(
     return mutual_information(table, xs, ys)
 
 
+def check_stage(k: int, n: int) -> None:
+    """Reject a stage outside ``0..n``: past it no element of the ``n + 1`` is pending."""
+    if not 0 <= k <= n:
+        raise ValidationError(f"stage k={k} outside 0..{n}: no element is pending")
+
+
 @dataclass(frozen=True)
 class PredictionScore:
     """Exact and sample-based quality of predicting the next element at stage ``k``."""
@@ -168,8 +173,7 @@ def next_element_score(
     never seen in the samples fall back to the target's empirical mode).
     """
     n = model.n
-    if not 0 <= k <= n:
-        raise ValidationError(f"stage k={k} outside 0..{n}: no element is pending")
+    check_stage(k, n)
     joint = model.joint
     seq = placement.sequence()
     if placement.n != n:

@@ -161,23 +161,8 @@ class RunConfig:
 
 
 def resolve_workers(requested: int | None) -> int:
-    """Worker count: the request (HARMONIA_THREADS when there is none, else 1),
-    capped by HARMONIA_THREADS and by the number of CPUs."""
-    cap_text = os.environ.get("HARMONIA_THREADS")
-    cap = None
-    if cap_text:
-        try:
-            cap = int(cap_text)
-        except ValueError:
-            raise ValidationError(
-                f"HARMONIA_THREADS must be an integer, got {cap_text!r}"
-            ) from None
-        if cap < 1:
-            raise ValidationError(f"HARMONIA_THREADS must be >= 1, got {cap}")
-    workers = requested if requested is not None else (cap or 1)
-    if cap is not None:
-        workers = min(workers, cap)
-    return max(1, min(workers, os.cpu_count() or 1))
+    """Worker count: the request (1 when there is none), capped by the number of CPUs."""
+    return min(requested or 1, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,21 @@ def test_typology_custom_file(capsys, tmp_path):
     assert "x/langs: total 4" in err
 
 
+def test_typology_output_quotes_fields(capsys, tmp_path):
+    data = tmp_path / "d.csv"
+    data.write_text(
+        "source,unit,order_position,frequency,percentage\n"
+        + "".join(f'"WALS, 2013 ""ed. 2""",langs,{p},1,33.3\n' for p in (1, 2, 3))
+    )
+    out_csv = tmp_path / "o.csv"
+    code, _, _ = run(capsys, "typology", str(data), "--out", str(out_csv))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out_csv.read_text())))
+    assert len(rows) == 4
+    assert all(len(row) == 7 for row in rows)
+    assert [row[0] for row in rows[1:]] == ['WALS, 2013 "ed. 2"'] * 3
+
+
 def test_typology_bad_file(capsys, tmp_path):
     data = tmp_path / "bad.csv"
     data.write_text("source,unit\nx,y\n")
@@ -367,6 +382,20 @@ def test_sample_score_summary(capsys, tmp_path):
     assert "next element after k=2: head" in err
     assert "exact Bayes accuracy 0.9000" in err
     assert out.splitlines()[0] == "dep1,dep2,head"
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_sample_checks_score_k_before_drawing(capsys, tmp_path, to_file):
+    path = gen_copy(capsys, tmp_path, n=3)
+    out_csv = tmp_path / "rows.csv"
+    extra = ("--out", str(out_csv)) if to_file else ()
+    code, out, err = run(
+        capsys, "sample", str(path), "--count", "10", "--score-k", "4", *extra
+    )
+    assert code == 2
+    assert err == "error: stage k=4 outside 0..3: no element is pending\n"
+    assert out == ""
+    assert not out_csv.exists()
 
 
 def test_sample_rejects_bad_count(capsys, tmp_path):

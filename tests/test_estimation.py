@@ -1,5 +1,6 @@
 """Sampling, plug-in estimation and next-element prediction scores."""
 
+import csv
 import io
 import math
 
@@ -8,6 +9,8 @@ import pytest
 
 from harmonia import (
     HEAD,
+    Alphabet,
+    FactoredModel,
     Placement,
     SampleSet,
     ValidationError,
@@ -115,6 +118,30 @@ def test_to_csv_plain_and_labelled():
     labelled = io.StringIO()
     samples.to_csv(labelled, labels=True)
     assert labelled.getvalue().splitlines()[1:] == plain.getvalue().splitlines()[1:]
+
+    # Labelled and unlabelled alphabets mixed, with labels CSV must quote.
+    mixed = FactoredModel(
+        head_alphabet=Alphabet(3, labels=("N, x", 'q"q', "v")),
+        dep_alphabets=(Alphabet(2), Alphabet(2, labels=("", "a\nb"))),
+        head_prior=[0.2, 0.3, 0.5],
+        cond_tables=([[0.6, 0.4], [0.1, 0.9], [0.5, 0.5]],) * 2,
+    )
+    samples = sample(mixed, Placement(n=2, head_position=2), 200, seed=4)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(v.name for v in samples.variables)
+    for row in samples.rows:
+        writer.writerow(alpha.label(int(v)) for alpha, v in zip(samples.alphabets, row))
+    labelled = io.StringIO()
+    samples.to_csv(labelled, labels=True)
+    assert labelled.getvalue() == expected.getvalue()
+    assert '"N, x"' in labelled.getvalue() and '"q""q"' in labelled.getvalue()
+
+    plain = io.StringIO()
+    samples.to_csv(plain)
+    assert list(csv.reader(io.StringIO(plain.getvalue())))[1:] == [
+        [str(v) for v in row] for row in samples.rows.tolist()
+    ]
 
 
 # -- empirical tables and plug-in MI -------------------------------------------------

@@ -64,31 +64,12 @@ def test_config_from_dict_rejects_unknown_keys():
         RunConfig.from_dict({"sweep_sizes": 2})
 
 
-def test_resolve_workers_env_cap(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # the CPU cap is tested below
-    monkeypatch.delenv("HARMONIA_THREADS", raising=False)
+def test_resolve_workers_caps_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
     assert resolve_workers(None) == 1
     assert resolve_workers(3) == 3
-    monkeypatch.setenv("HARMONIA_THREADS", "2")
-    assert resolve_workers(None) == 2
-    assert resolve_workers(8) == 2
-    monkeypatch.setenv("HARMONIA_THREADS", "four")
-    with pytest.raises(ValidationError, match="HARMONIA_THREADS"):
-        resolve_workers(None)
-    monkeypatch.setenv("HARMONIA_THREADS", "0")
-    with pytest.raises(ValidationError):
-        resolve_workers(None)
-
-
-def test_resolve_workers_caps_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("HARMONIA_THREADS", raising=False)
     assert resolve_workers(10_000) == 4
-    monkeypatch.setenv("HARMONIA_THREADS", "64")
-    assert resolve_workers(None) == 4
-    assert resolve_workers(10_000) == 4
-    monkeypatch.setenv("HARMONIA_THREADS", "3")
-    assert resolve_workers(10_000) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: run serially
     assert resolve_workers(10_000) == 1
 
@@ -97,7 +78,6 @@ def test_run_sweep_starts_no_pool_for_a_single_model(monkeypatch):
     import harmonia.sweep
 
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    monkeypatch.delenv("HARMONIA_THREADS", raising=False)
     monkeypatch.setattr(
         harmonia.sweep, "get_context", lambda: pytest.fail("a pool was started")
     )
@@ -235,10 +215,9 @@ def test_report_timestamp_is_a_comment_line():
     assert second == ",".join(CSV_HEADER)
 
 
-def test_parallel_sweep_matches_serial(monkeypatch):
+def test_parallel_sweep_matches_serial():
     from dataclasses import replace
 
-    monkeypatch.delenv("HARMONIA_THREADS", raising=False)
     serial = run_sweep(SMALL)
     parallel = run_sweep(replace(SMALL, workers=2))
     sa, pa = io.StringIO(), io.StringIO()
