@@ -353,6 +353,8 @@ class JointTable:
         """
         h = self._entropies.get(mask)
         if h is None:
+            if mask >> self.probs.ndim:
+                raise ValidationError(f"mask {mask:#b} selects axes this table does not have")
             drop = tuple(i for i in range(self.probs.ndim) if not mask >> i & 1)
             p = self.probs.sum(axis=drop) if drop else self.probs
             p = p[p > 0.0]

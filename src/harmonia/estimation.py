@@ -23,7 +23,7 @@ from .distributions import (
     VarSet,
     FactoredModel,
 )
-from .information import Nats, mutual_information
+from .information import Nats, Vars, mutual_information
 from .placement import Placement
 
 
@@ -125,11 +125,7 @@ def empirical_joint(samples: SampleSet, subset: VarSet | Iterable[Variable]) -> 
     )
 
 
-def plug_in_mi(
-    samples: SampleSet,
-    x: VarSet | Variable | Iterable[Variable],
-    y: VarSet | Variable | Iterable[Variable],
-) -> Nats:
+def plug_in_mi(samples: SampleSet, x: Vars, y: Vars) -> Nats:
     """MI of the empirical joint frequency table (no bias correction)."""
     xs = VarSet.coerce(x)
     ys = VarSet.coerce(y)

@@ -9,6 +9,7 @@ uniform ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +73,9 @@ class ModelSpec:
             )
         if self.head_size < 1 or any(s < 1 for s in sizes):
             raise ValidationError("alphabet sizes must be >= 1")
-        if self.concentration <= 0:
+        if not (math.isfinite(self.concentration) and self.concentration > 0):
             raise ValidationError(
-                f"concentration must be positive, got {self.concentration}"
+                f"concentration must be a positive finite number, got {self.concentration}"
             )
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
@@ -85,18 +86,29 @@ class ModelSpec:
             )
 
 
+#: Gamma draws allowed per Dirichlet row before the concentration is refused.
+MAX_DRAWS = 1000
+
+
 def _dirichlet_rows(rng: np.random.Generator, rows: int, size: int, conc: float) -> np.ndarray:
-    """Stack of ``rows`` Dirichlet(conc, ..., conc) draws of length ``size``."""
+    """Stack of ``rows`` Dirichlet(conc, ..., conc) draws of length ``size``.
+
+    A row whose gamma variates all underflow to zero (tiny ``conc``) or whose
+    sum overflows (huge ``conc``) is drawn again, at most ``MAX_DRAWS`` times.
+    """
     out = np.empty((rows, size))
-    for r in range(rows):
-        draw = rng.gamma(shape=conc, scale=1.0, size=size)
-        total = draw.sum()
-        while total <= 0.0 or not np.isfinite(total):
-            # At very small concentrations every gamma variate can underflow
-            # to zero; redrawing keeps the row a genuine distribution.
-            draw = rng.gamma(shape=conc, scale=1.0, size=size)
-            total = draw.sum()
-        out[r] = draw / total
+    with np.errstate(over="ignore"):  # a row whose sum overflows is drawn again
+        for r in range(rows):
+            for _ in range(MAX_DRAWS):
+                draw = rng.gamma(shape=conc, scale=1.0, size=size)
+                total = draw.sum()
+                if 0.0 < total < math.inf:
+                    break
+            else:
+                raise ValidationError(
+                    f"concentration {conc} gave no finite, nonzero Dirichlet row in {MAX_DRAWS} draws"
+                )
+            out[r] = draw / total
     return out
 
 

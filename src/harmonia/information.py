@@ -17,6 +17,9 @@ Y swaps the two leading terms, and IEEE addition commutes.  Identities that
 hold by construction prove nothing about the table, so
 ``direct_mutual_information`` keeps an independent path, a direct summation
 over the marginal, for the checks that compare against it.
+
+The public measures take variables and validate them; each ``*_of`` form
+takes trusted axis bitmasks instead, as ``JointTable.entropy_of`` does.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ from .distributions import (
 
 #: Measured in nats.  Alias to keep signatures self-describing.
 Nats = float
+
+#: A group of variables, as the public measures accept it.
+Vars = VarSet | Variable | Iterable[Variable]
 
 #: Shared default tolerance, in nats, for every comparison in the package.
 DEFAULT_TOLERANCE: float = 1e-9
@@ -78,17 +84,13 @@ def _masks(joint: JointTable, *groups) -> list[int]:
     return masks
 
 
-def entropy(joint: JointTable, subset: VarSet | Variable | Iterable[Variable]) -> Nats:
+def entropy(joint: JointTable, subset: Vars) -> Nats:
     """Shannon entropy of the marginal over ``subset``, in nats."""
     (mask,) = _masks(joint, subset)
     return joint.entropy_of(mask)
 
 
-def direct_mutual_information(
-    joint: JointTable,
-    x: VarSet | Variable | Iterable[Variable],
-    y: VarSet | Variable | Iterable[Variable],
-) -> Nats:
+def direct_mutual_information(joint: JointTable, x: Vars, y: Vars) -> Nats:
     """I(X; Y) summed directly as p log(p / (p_x p_y)) over the marginal of X and Y.
 
     The reference path: it never reads the entropy table, so checks of
@@ -97,7 +99,11 @@ def direct_mutual_information(
     for bit, because the only asymmetric step, ``p_x * p_y``, commutes in
     IEEE arithmetic.
     """
-    mx, my = _masks(joint, x, y)
+    return direct_mi_of(joint, *_masks(joint, x, y))
+
+
+def direct_mi_of(joint: JointTable, mx: int, my: int) -> Nats:
+    """``direct_mutual_information`` on axis bitmasks."""
     keep = [i for i in range(joint.probs.ndim) if (mx | my) >> i & 1]
     drop = tuple(i for i in range(joint.probs.ndim) if i not in keep)
     p = joint.probs.sum(axis=drop) if drop else joint.probs
@@ -111,53 +117,44 @@ def direct_mutual_information(
     return _clamp(float(terms[mask].sum()))
 
 
-def mutual_information(
-    joint: JointTable,
-    x: VarSet | Variable | Iterable[Variable],
-    y: VarSet | Variable | Iterable[Variable],
-) -> Nats:
+def mutual_information(joint: JointTable, x: Vars, y: Vars) -> Nats:
     """Mutual information between disjoint variable sets, in nats:
     I(X; Y) = H(X) + H(Y) - H(XY)."""
-    mx, my = _masks(joint, x, y)
-    return _clamp(joint.entropy_of(mx) + joint.entropy_of(my) - joint.entropy_of(mx | my))
+    return mi_of(joint, *_masks(joint, x, y))
 
 
-def conditional_mutual_information(
-    joint: JointTable,
-    x: VarSet | Variable | Iterable[Variable],
-    y: VarSet | Variable | Iterable[Variable],
-    z: VarSet | Variable | Iterable[Variable] = (),
-) -> Nats:
+def conditional_mutual_information(joint: JointTable, x: Vars, y: Vars, z: Vars = ()) -> Nats:
     """I(X; Y | Z) = H(XZ) + H(YZ) - H(XYZ) - H(Z), in nats.
 
     An empty ``Z`` reduces to plain mutual information.  Values of Z with
     probability zero contribute nothing to any of the four entropies, so
     structural zeros in the conditioning marginal need no special care.
     """
-    z = VarSet.coerce(z)
-    if len(z) == 0:
-        return mutual_information(joint, x, y)
-    mx, my, mz = _masks(joint, x, y, z)
+    groups = (x, y, z) if len(VarSet.coerce(z)) else (x, y)
+    return mi_of(joint, *_masks(joint, *groups))
+
+
+def mi_of(joint: JointTable, mx: int, my: int, mz: int = 0) -> Nats:
+    """I(X; Y | Z) on axis bitmasks.  The empty mask has entropy 0.0, so
+    ``mz = 0`` gives I(X; Y) bit for bit, which is exactly 0.0 when X or Y
+    is empty."""
     h = joint.entropy_of
     return _clamp(h(mx | mz) + h(my | mz) - h(mx | my | mz) - h(mz))
 
 
-def chain_rule_residual(
-    joint: JointTable,
-    x1: VarSet | Variable | Iterable[Variable],
-    x2: VarSet | Variable | Iterable[Variable],
-    y: VarSet | Variable | Iterable[Variable],
-) -> Nats:
+def chain_rule_residual(joint: JointTable, x1: Vars, x2: Vars, y: Vars) -> Nats:
     """|I(X1, X2; Y) - I(X1; Y) - I(X2; Y | X1)|, which is 0 in exact arithmetic.
 
     The left side is summed directly and the right side comes from the
     entropy table, so the residual measures how far the two paths disagree.
     """
-    x1, x2, y = (VarSet.coerce(g) for g in (x1, x2, y))
-    _masks(joint, x1, x2, y)  # validates the three groups
-    lhs = direct_mutual_information(joint, x1 | x2, y)
-    rhs = mutual_information(joint, x1, y) + conditional_mutual_information(joint, x2, y, x1)
-    return abs(lhs - rhs)
+    return chain_rule_residual_of(joint, *_masks(joint, x1, x2, y))
+
+
+def chain_rule_residual_of(joint: JointTable, m1: int, m2: int, my: int) -> Nats:
+    """``chain_rule_residual`` on axis bitmasks."""
+    lhs = direct_mi_of(joint, m1 | m2, my)
+    return abs(lhs - (mi_of(joint, m1, my) + mi_of(joint, m2, my, m1)))
 
 
 @dataclass(frozen=True)
@@ -170,11 +167,7 @@ class MarkovVerdict:
 
 
 def is_markov_chain(
-    joint: JointTable,
-    x: VarSet | Variable | Iterable[Variable],
-    y: VarSet | Variable | Iterable[Variable],
-    z: VarSet | Variable | Iterable[Variable],
-    tol: float = DEFAULT_TOLERANCE,
+    joint: JointTable, x: Vars, y: Vars, z: Vars, tol: float = DEFAULT_TOLERANCE
 ) -> MarkovVerdict:
     """Test whether X -> Y -> Z holds, i.e. whether I(X; Z | Y) <= tol.
 
@@ -182,18 +175,22 @@ def is_markov_chain(
     a bit-identical residual, because it only swaps the two leading terms of
     the entropy sum.
     """
+    return _verdict(conditional_mutual_information(joint, x, z, y), tol)
+
+
+def markov_of(joint: JointTable, mx: int, my: int, mz: int, tol: float) -> MarkovVerdict:
+    """``is_markov_chain`` on axis bitmasks."""
+    return _verdict(mi_of(joint, mx, mz, my), tol)
+
+
+def _verdict(residual: Nats, tol: float) -> MarkovVerdict:
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
-    residual = conditional_mutual_information(joint, x, z, y)
     return MarkovVerdict(is_chain=residual <= tol, residual=residual, tolerance=tol)
 
 
 def data_processing_gap(
-    joint: JointTable,
-    x: VarSet | Variable | Iterable[Variable],
-    y: VarSet | Variable | Iterable[Variable],
-    z: VarSet | Variable | Iterable[Variable],
-    tol: float = DEFAULT_TOLERANCE,
+    joint: JointTable, x: Vars, y: Vars, z: Vars, tol: float = DEFAULT_TOLERANCE
 ) -> Nats:
     """I(X; Y) - I(X; Z) along a verified chain X -> Y -> Z (never below -tol).
 

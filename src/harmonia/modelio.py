@@ -4,7 +4,9 @@ Two single-object formats, both versioned:
 
 * ``harmonia-model``: head prior plus per-dependent conditional tables.
 * ``harmonia-joint``: a dense table over named variables, for distributions
-  that are not (or deliberately fail to be) factored.
+  that are not (or deliberately fail to be) factored.  The variables may come
+  in any order; the loader transposes the table to head, dep1..n, the axis
+  order the relation checks read.
 
 Floats round-trip exactly (JSON uses repr), so save/load is lossless.  The
 loader re-runs full validation and prefixes any complaint with the file path,
@@ -163,7 +165,7 @@ def _joint_from_json(obj: dict[str, Any], path: str | Path) -> JointTable:
             variables=variables,
             alphabets=alphabets,
             probs=_floats(obj["probabilities"], "probabilities"),
-        )
+        ).marginal(sorted(variables))
     except (TypeError, ValueError) as err:  # ValidationError is a ValueError
         raise ValidationError(f"{path}: {err}") from None
 

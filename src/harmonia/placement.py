@@ -13,6 +13,13 @@ data-processing condition).  A check carries that chain as data: it is
 diagnosed on the joint when the two sides are close, and its display text
 (``head -> dep1 -> dep2..3``) is derived from it.
 
+Which relations apply depends only on ``n`` and the stage.  So each family
+is stated once, as a plan: ``PlanEntry`` rows whose sides are axis bitmasks
+(bit 0 the head, bit ``i`` dependent ``i``), evaluated by entropy lookups on a
+joint with axes head, dep1..n, the order ``build_joint`` and the file loader
+produce.  ``verify_pending_theorem`` and the other checkers validate their
+arguments and evaluate their family's plan.
+
 Two families of relations need different care:
 
 * Relations that hold for every factored model: the remainder inequalities,
@@ -22,17 +29,16 @@ Two families of relations need different care:
 * Relations that compare *different* dependent slots against each other.
   Those hold when the dependents share one conditional table (identical
   channels) and can fail otherwise; each docstring says which regime it
-  needs, and each such check carries ``cross_slot=True``.
-  ``theorem_battery`` in :mod:`harmonia.sweep` selects on that field.
-
-The functions that take a ``FactoredModel`` share its one cached joint
-(``FactoredModel.joint``) and with it the joint's memoised subset entropies.
+  needs, and each such entry carries ``cross_slot=True``.  The battery plan
+  of :mod:`harmonia.sweep` leaves them out for per-slot models.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .distributions import (
     HEAD,
@@ -42,13 +48,13 @@ from .distributions import (
     Variable,
     VarSet,
     dep,
-    dep_range,
 )
 from .information import (
     DEFAULT_TOLERANCE,
     MarkovVerdict,
     Nats,
-    is_markov_chain,
+    markov_of,
+    mi_of,
     mutual_information,
 )
 
@@ -130,13 +136,6 @@ def stage_view(placement: Placement, k: int) -> StageView:
     )
 
 
-def _mi_or_zero(joint: JointTable, x: VarSet, y: VarSet) -> Nats:
-    """MI with the empty-set convention: an empty side carries no information."""
-    if len(x) == 0 or len(y) == 0:
-        return 0.0
-    return mutual_information(joint, x, y)
-
-
 def remainder_predictability(joint: JointTable, view: StageView) -> Nats:
     """I(produced; pending) at a mid-sequence stage (``1 <= k <= n``).
 
@@ -162,15 +161,16 @@ class Relation(enum.Enum):
     EQ = "=="
 
 
-#: A Markov chain X -> Y -> Z.  Each group is the head, one dependent or a
-#: contiguous range of dependents.
-Chain = tuple[VarSet, VarSet, VarSet]
+#: A Markov chain X -> Y -> Z as three axis bitmasks.  Each group is the head,
+#: one dependent or a contiguous range of dependents.
+Chain = tuple[int, int, int]
 
 
-def _label(group: VarSet) -> str:
+def _label(mask: int) -> str:
     """Display name of a chain group: ``head``, ``dep3`` or ``dep1..4``."""
-    vs = tuple(group)
-    return vs[0].name if len(vs) == 1 else f"{vs[0].name}..{vs[-1].index}"
+    first, last = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+    name = Variable(first).name
+    return name if first == last else f"{name}..{last}"
 
 
 @dataclass(frozen=True)
@@ -179,13 +179,13 @@ class RelationCheck:
 
     ``slack`` measures how comfortably the relation holds (negative means
     violated): ``rhs - lhs`` for LE, ``lhs - rhs`` for GE and ``-|lhs - rhs|``
-    for EQ.  ``chain`` is the Markov chain whose truth makes the two sides
-    equal, or None when the relation has none to diagnose (an identity, a
-    bound, or a relation that is an equality outright).  When the two sides
-    are within ``10 * tolerance`` of each other the chain is tested and the
-    verdict stored in ``equality_diagnosis``; otherwise it is None.
-    ``cross_slot`` marks relations that compare different dependent slots and
-    are guaranteed only under identical channels.
+    for EQ.  ``chain`` is the Markov chain, as axis bitmasks, whose truth
+    makes the two sides equal, or None when the relation has none to diagnose
+    (an identity, a bound, or a relation that is an equality outright).  When
+    the two sides are within ``10 * tolerance`` of each other the chain is
+    tested and the verdict stored in ``equality_diagnosis``; otherwise it is
+    None.  ``cross_slot`` marks relations that compare different dependent
+    slots and are guaranteed only under identical channels.
     """
 
     name: str
@@ -230,7 +230,7 @@ def relation_check(
         slack = -abs(lhs - rhs)
     diagnosis = None
     if chain is not None and abs(lhs - rhs) <= 10.0 * tol:
-        diagnosis = is_markov_chain(joint, *chain, tol=tol)
+        diagnosis = markov_of(joint, *chain, tol)
     return RelationCheck(
         name=name,
         relation=relation,
@@ -245,17 +245,54 @@ def relation_check(
     )
 
 
-def _deps_of(joint: JointTable) -> list[Variable]:
-    deps = sorted(v for v in joint.variables if not v.is_head)
-    if HEAD not in joint.varset:
-        raise ValidationError("joint table has no head variable")
-    if not deps:
-        raise ValidationError("joint table has no dependents")
-    if [v.index for v in deps] != list(range(1, len(deps) + 1)):
+# ---------------------------------------------------------------------------
+# Relation plans
+# ---------------------------------------------------------------------------
+
+#: Axis bitmask of the head; dependent ``i`` is ``1 << i``.
+HEAD_MASK = 1
+
+
+def deps_mask(first: int, last: int) -> int:
+    """Axis bitmask of dependents ``first..last``; 0 when ``first > last``."""
+    return (1 << last + 1) - (1 << first) if first <= last else 0
+
+
+class PlanEntry(NamedTuple):
+    """One relation of a plan.  Each side is the masks ``(x, y)`` of I(X; Y)
+    or ``(x, y, z)`` of I(X; Y | Z), and ``(0, 0)`` is 0.0.  ``tol`` None is
+    the evaluation's tolerance; the other fields pass to ``relation_check``."""
+
+    theorem: str
+    name: str
+    relation: Relation
+    lhs: tuple[int, ...]
+    rhs: tuple[int, ...]
+    tol: float | None = None
+    chain: Chain | None = None
+    cross_slot: bool = False
+
+
+def _evaluate(joint: JointTable, plan: Iterable[PlanEntry], tol: float) -> list[RelationCheck]:
+    """The checks of ``plan`` on ``joint``, whose axes must be head, dep1..n
+    for the plan's ``n``; every entropy is a memoised lookup."""
+    return [
+        relation_check(e.name, e.relation, mi_of(joint, *e.lhs), mi_of(joint, *e.rhs),
+                       tol if e.tol is None else e.tol, joint, e.chain, e.cross_slot)
+        for e in plan
+    ]
+
+
+def _dependents(joint: JointTable) -> int:
+    """``n`` of a joint over head, dep1..n in that axis order, the order plan
+    masks assume; any other joint is refused rather than misread."""
+    n = len(joint.variables) - 1
+    if n < 1 or [v.index for v in joint.variables] != list(range(n + 1)):
         raise ValidationError(
-            f"dependents must be numbered 1..n, got {[v.name for v in deps]}"
+            "relation checks need a joint over head, dep1..n in that axis order, "
+            f"got {[v.name for v in joint.variables]}"
         )
-    return deps
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +300,23 @@ def _deps_of(joint: JointTable) -> list[Variable]:
 # ---------------------------------------------------------------------------
 
 
+def remainder_plan(n: int) -> list[PlanEntry]:
+    """The plan of ``remainder_relation_checks`` for ``n`` dependents."""
+    relation = Relation.EQ if n == 1 else Relation.GE  # n = 1: both are MI symmetry
+    all_deps, rest, lead = deps_mask(1, n), deps_mask(2, n), deps_mask(1, n - 1)
+    return [
+        PlanEntry("remainder", "remainder k=1 (head first)", relation, (HEAD_MASK, all_deps),
+                  (1 << 1, HEAD_MASK | rest), chain=(HEAD_MASK, 1 << 1, rest) if n > 1 else None),
+        PlanEntry("remainder", f"remainder k={n} (head last)", relation, (all_deps, HEAD_MASK),
+                  (HEAD_MASK | lead, 1 << n), chain=(lead, 1 << n, HEAD_MASK) if n > 1 else None),
+    ]
+
+
 def remainder_relation_checks(
     joint: JointTable, tol: float = DEFAULT_TOLERANCE
 ) -> tuple[RelationCheck, RelationCheck]:
-    """The two boundary remainder relations, evaluated on any joint with a head.
+    """The two boundary remainder relations, evaluated on any joint over
+    head, dep1..n (in that axis order).
 
     Head-first: producing the head first tells you at least as much about the
     rest as producing the first dependent would, I(head; deps) >=
@@ -275,27 +325,7 @@ def remainder_relation_checks(
     equalities.  On a non-factored joint either relation can fail, which is
     exactly what these checks are for.
     """
-    deps = _deps_of(joint)
-    n = len(deps)
-    all_deps = VarSet(deps)
-    head = VarSet((HEAD,))
-
-    relation = Relation.EQ if n == 1 else Relation.GE
-    dep1, rest1 = VarSet(deps[:1]), VarSet(deps[1:])
-    first = relation_check(
-        "remainder k=1 (head first)", relation,
-        mutual_information(joint, head, all_deps),
-        mutual_information(joint, dep1, head | rest1), tol,
-        joint, chain=None if n == 1 else (head, dep1, rest1),
-    )
-    lead, dep_n = VarSet(deps[:-1]), VarSet(deps[-1:])
-    last = relation_check(
-        f"remainder k={n} (head last)", relation,
-        mutual_information(joint, all_deps, head),
-        mutual_information(joint, head | lead, dep_n), tol,
-        joint, chain=None if n == 1 else (lead, dep_n, head),
-    )
-    return first, last
+    return tuple(_evaluate(joint, remainder_plan(_dependents(joint)), tol))
 
 
 def verify_remainder_theorem(
@@ -308,6 +338,27 @@ def verify_remainder_theorem(
 # ---------------------------------------------------------------------------
 # Pending-element relations
 # ---------------------------------------------------------------------------
+
+
+def pending_plan(k: int, j: int) -> list[PlanEntry]:
+    """The plan of ``verify_pending_theorem(model, k, j)``."""
+    first_k, lead, target = deps_mask(1, k), deps_mask(1, k - 1), 1 << j
+    with_head, without_head = (HEAD_MASK | lead, target), (first_k, target)
+    head_pred = (first_k, HEAD_MASK)
+    rows = [
+        # part, relation, lhs, rhs, chain, cross_slot.  At k = 1 part 1 reads
+        # I(head; dep j) <= I(dep1; head): MI symmetry when j = 1, and with no
+        # produced dependent there is no chain to diagnose.
+        ("part1", Relation.EQ if k == j == 1 else Relation.LE, with_head, head_pred,
+         None if k == 1 else (HEAD_MASK, target, lead), j > k),
+        ("part2", Relation.LE, without_head, head_pred, (first_k, target, HEAD_MASK), False),
+        ("part3", Relation.LE, without_head, with_head, (HEAD_MASK, first_k, target), False),
+    ]
+    return [
+        PlanEntry("pending", f"pending {part} k={k} j={j}", relation, lhs, rhs,
+                  chain=chain, cross_slot=cross_slot)
+        for part, relation, lhs, rhs, chain, cross_slot in rows[: 3 if j > k else 1]
+    ]
 
 
 def verify_pending_theorem(
@@ -334,39 +385,13 @@ def verify_pending_theorem(
         raise ValidationError(f"k={k} outside 1..{n}")
     if not k <= j <= n:
         raise ValidationError(f"j={j} outside the pending range {k}..{n}")
-    joint = model.joint
-    head = VarSet((HEAD,))
-    first_k = dep_range(1, k)
-    lead = dep_range(1, k - 1)  # empty when k == 1
-    target = VarSet((dep(j),))
+    return tuple(_evaluate(model.joint, pending_plan(k, j), tol))
 
-    lhs1 = mutual_information(joint, head | lead, target)
-    rhs1 = mutual_information(joint, first_k, head)
-    # At k = 1 part 1 reads I(head; dep j) <= I(dep1; head): MI symmetry when
-    # j = 1, and with no produced dependent there is no chain to diagnose.
-    checks = [
-        relation_check(
-            f"pending part1 k={k} j={j}",
-            Relation.EQ if k == j == 1 else Relation.LE, lhs1, rhs1, tol,
-            joint, chain=None if k == 1 else (head, target, lead),
-            cross_slot=j > k,
-        )
-    ]
-    if j > k:
-        lhs23 = mutual_information(joint, first_k, target)
-        checks.append(
-            relation_check(
-                f"pending part2 k={k} j={j}", Relation.LE, lhs23, rhs1, tol,
-                joint, chain=(first_k, target, head),
-            )
-        )
-        checks.append(
-            relation_check(
-                f"pending part3 k={k} j={j}", Relation.LE, lhs23, lhs1, tol,
-                joint, chain=(head, first_k, target),
-            )
-        )
-    return tuple(checks)
+
+def irrelevance_plan(k: int, j: int) -> list[PlanEntry]:
+    """The plan of ``verify_irrelevance(model, k, j)``."""
+    lhs, rhs = (HEAD_MASK | deps_mask(1, k), 1 << j), (HEAD_MASK, 1 << j)
+    return [PlanEntry("irrelevance", f"irrelevance k={k} j={j}", Relation.EQ, lhs, rhs)]
 
 
 def verify_irrelevance(
@@ -381,12 +406,7 @@ def verify_irrelevance(
     n = model.n
     if not 1 <= k < j <= n:
         raise ValidationError(f"need 1 <= k < j <= n, got k={k}, j={j}, n={n}")
-    joint = model.joint
-    head = VarSet((HEAD,))
-    target = VarSet((dep(j),))
-    lhs = mutual_information(joint, head | dep_range(1, k), target)
-    rhs = mutual_information(joint, head, target)
-    return relation_check(f"irrelevance k={k} j={j}", Relation.EQ, lhs, rhs, tol)
+    return _evaluate(model.joint, irrelevance_plan(k, j), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +439,49 @@ class LatticeReport:
         return all(c.holds for c in self.checks)
 
 
+def _lattice_cells(n: int, k: int) -> dict[str, tuple[int, int]]:
+    cells = {
+        "head_pred_k": (deps_mask(1, k), HEAD_MASK),
+        "head_pred_k1": (deps_mask(1, k + 1), HEAD_MASK),
+        "dep_with_head_k": (HEAD_MASK | deps_mask(1, k - 1), 1 << k),
+        "dep_with_head_k1": (HEAD_MASK | deps_mask(1, k), 1 << k + 1),
+        "dep_without_head_k": (deps_mask(1, k), 1 << k + 1),
+    }
+    if k + 2 <= n:
+        cells["dep_without_head_k1"] = (deps_mask(1, k + 1), 1 << k + 2)
+    return cells
+
+
+def lattice_plan(n: int, k: int) -> list[PlanEntry]:
+    """The plan of ``lattice_report(model, k)`` for ``n`` dependents."""
+    cell = _lattice_cells(n, k)
+    first_k, lead, dep_k, dep_k1, dep_k2 = (
+        deps_mask(1, k), deps_mask(1, k - 1), 1 << k, 1 << k + 1, 1 << k + 2)
+    rows = [
+        # number, title, relation, lhs cell, rhs cell, chain, cross_slot
+        (1, "head-predictability-grows", Relation.LE, "head_pred_k", "head_pred_k1",
+         (dep_k1, first_k, HEAD_MASK), False),
+        (2, "head-beats-dep-at-k", Relation.LE, "dep_with_head_k", "head_pred_k",
+         None if k == 1 else (HEAD_MASK, dep_k, lead), False),
+        (3, "head-beats-dep-at-k+1", Relation.LE, "dep_with_head_k1", "head_pred_k1",
+         (HEAD_MASK, dep_k1, first_k), False),
+        # Equal when the pending slots are identically distributed given the head.
+        (4, "produced-deps-do-not-help", Relation.EQ, "dep_with_head_k", "dep_with_head_k1",
+         None, True),
+        (5, "early-head-helps-at-k", Relation.LE, "dep_without_head_k", "dep_with_head_k",
+         (HEAD_MASK, first_k, dep_k1), True),
+        (6, "early-head-helps-at-k+1", Relation.LE, "dep_without_head_k1", "dep_with_head_k1",
+         (HEAD_MASK, first_k | dep_k1, dep_k2), True),
+        (7, "dep-predictability-grows", Relation.LE, "dep_without_head_k",
+         "dep_without_head_k1", (dep_k1, first_k, dep_k2), True),
+    ]
+    return [
+        PlanEntry("lattice", f"lattice k={k} ({number}) {title}", relation, cell[lhs], cell[rhs],
+                  chain=chain, cross_slot=cross_slot)
+        for number, title, relation, lhs, rhs, chain, cross_slot in rows[: 7 if k + 2 <= n else 5]
+    ]
+
+
 def lattice_report(
     model: FactoredModel, k: int, tol: float = DEFAULT_TOLERANCE
 ) -> LatticeReport:
@@ -436,68 +499,12 @@ def lattice_report(
     if not 1 <= k < n:
         raise ValidationError(f"lattice stage needs 1 <= k < n, got k={k}, n={n}")
     joint = model.joint
-    head = VarSet((HEAD,))
-    first_k, lead = dep_range(1, k), dep_range(1, k - 1)  # lead is empty when k == 1
-    dep_k, dep_k1 = VarSet((dep(k),)), VarSet((dep(k + 1),))
-
-    cells: dict[str, Nats] = {
-        "head_pred_k": mutual_information(joint, first_k, head),
-        "head_pred_k1": mutual_information(joint, first_k | dep_k1, head),
-        "dep_with_head_k": mutual_information(joint, head | lead, dep_k),
-        "dep_with_head_k1": mutual_information(joint, head | first_k, dep_k1),
-        "dep_without_head_k": mutual_information(joint, first_k, dep_k1),
-    }
-    has_next = k + 2 <= n
-    if has_next:
-        dep_k2 = VarSet((dep(k + 2),))
-        cells["dep_without_head_k1"] = mutual_information(joint, first_k | dep_k1, dep_k2)
-
-    checks = [
-        relation_check(
-            f"lattice k={k} (1) head-predictability-grows",
-            Relation.LE, cells["head_pred_k"], cells["head_pred_k1"], tol,
-            joint, chain=(dep_k1, first_k, head),
-        ),
-        relation_check(
-            f"lattice k={k} (2) head-beats-dep-at-k",
-            Relation.LE, cells["dep_with_head_k"], cells["head_pred_k"], tol,
-            joint, chain=None if k == 1 else (head, dep_k, lead),
-        ),
-        relation_check(
-            f"lattice k={k} (3) head-beats-dep-at-k+1",
-            Relation.LE, cells["dep_with_head_k1"], cells["head_pred_k1"], tol,
-            joint, chain=(head, dep_k1, first_k),
-        ),
-        # Equal when the pending slots are identically distributed given the head.
-        relation_check(
-            f"lattice k={k} (4) produced-deps-do-not-help",
-            Relation.EQ, cells["dep_with_head_k"], cells["dep_with_head_k1"], tol,
-            cross_slot=True,
-        ),
-        relation_check(
-            f"lattice k={k} (5) early-head-helps-at-k",
-            Relation.LE, cells["dep_without_head_k"], cells["dep_with_head_k"], tol,
-            joint, chain=(head, first_k, dep_k1), cross_slot=True,
-        ),
-    ]
-    not_applicable: tuple[int, ...] = ()
-    if has_next:
-        checks += [
-            relation_check(
-                f"lattice k={k} (6) early-head-helps-at-k+1",
-                Relation.LE, cells["dep_without_head_k1"], cells["dep_with_head_k1"], tol,
-                joint, chain=(head, first_k | dep_k1, dep_k2), cross_slot=True,
-            ),
-            relation_check(
-                f"lattice k={k} (7) dep-predictability-grows",
-                Relation.LE, cells["dep_without_head_k"], cells["dep_without_head_k1"], tol,
-                joint, chain=(dep_k1, first_k, dep_k2), cross_slot=True,
-            ),
-        ]
-    else:
-        not_applicable = (6, 7)
     return LatticeReport(
-        k=k, n=n, cells=cells, checks=tuple(checks), not_applicable=not_applicable
+        k=k,
+        n=n,
+        cells={name: mi_of(joint, *side) for name, side in _lattice_cells(n, k).items()},
+        checks=tuple(_evaluate(joint, lattice_plan(n, k), tol)),
+        not_applicable=() if k + 2 <= n else (6, 7),
     )
 
 
@@ -530,18 +537,23 @@ def placement_profile(joint: JointTable, placement: Placement) -> ProfileReport:
     Row ``k = 0`` is all zeros by the empty-prefix convention; there is no row
     for ``k = n + 1`` because nothing is pending there.
     """
+    n = _dependents(joint)
+    if n != placement.n:
+        raise ValidationError(f"placement has {placement.n} dependents, the joint has {n}")
     seq = placement.sequence()
+    everything = (1 << n + 1) - 1
     rows = []
-    for k in range(0, placement.n + 1):
-        produced = VarSet(seq[:k])
-        pending = seq[k:]
-        remainder = _mi_or_zero(joint, produced, VarSet(pending))
-        elements = tuple(
-            (v, _mi_or_zero(joint, produced, VarSet((v,)))) for v in pending
-        )
+    produced = 0
+    for k in range(0, n + 1):
         rows.append(
-            StageRow(k=k, produced=seq[:k], remainder=remainder, pending_elements=elements)
+            StageRow(
+                k=k,
+                produced=seq[:k],
+                remainder=mi_of(joint, produced, everything & ~produced),
+                pending_elements=tuple((v, mi_of(joint, produced, 1 << v.index)) for v in seq[k:]),
+            )
         )
+        produced |= 1 << seq[k].index
     return ProfileReport(placement=placement, rows=tuple(rows))
 
 
@@ -584,42 +596,39 @@ def optimal_head_position(
       Position 1 always attains the maximum.
     * ``REMAINDER_AT_K``: I(produced; pending) at stage ``k`` (requires ``k``).
 
-    Exact ties (within ``tol``) are all returned, never broken arbitrarily.
+    Exact ties (within ``tol``, a finite number >= 0) are all returned, never
+    broken arbitrarily.
     """
     objective = Objective(objective)
     if aggregate not in ("min", "mean"):
         raise ValidationError(f"aggregate must be 'min' or 'mean', got {aggregate!r}")
+    if not 0.0 <= tol < math.inf:  # False for NaN
+        raise ValidationError(f"tolerance must be a finite number >= 0, got {tol}")
     n = model.n
     if objective is Objective.REMAINDER_AT_K:
         if k is None:
             raise ValidationError("REMAINDER_AT_K needs a stage k")
         if not 1 <= k <= n:
             raise ValidationError(f"stage k={k} outside 1..{n}")
-    joint = model.joint
-
+    else:
+        k = None
     scores: list[Nats] = []
     for position in range(1, n + 2):
         placement = Placement(n=n, head_position=position, dependent_order=dependent_order)
-        seq = placement.sequence()
+        seq = [1 << v.index for v in placement.sequence()]
         if objective is Objective.HEAD_PREDICTABILITY:
-            before_head = VarSet(seq[: position - 1])
-            score = _mi_or_zero(joint, before_head, VarSet((HEAD,)))
+            pairs = [(sum(seq[: position - 1]), HEAD_MASK)]
         elif objective is Objective.DEPENDENT_PREDICTABILITY:
-            first = VarSet(seq[:1])
-            values = [_mi_or_zero(joint, first, VarSet((v,))) for v in seq[1:] if not v.is_head]
-            if not values:  # n = 1 with the head second: no dependent is pending
-                score = 0.0
-            else:
-                score = min(values) if aggregate == "min" else sum(values) / len(values)
+            pairs = [(seq[0], m) for m in seq[1:] if m != HEAD_MASK]
         else:
-            view = stage_view(placement, k)
-            score = _mi_or_zero(joint, view.produced, view.pending)
-        scores.append(score)
-
+            pairs = [(sum(seq[:k]), sum(seq[k:]))]
+        # [0.0] when nothing is scored: n = 1 with the head second leaves no dependent pending.
+        values = [mi_of(model.joint, x, y) for x, y in pairs] or [0.0]
+        scores.append(min(values) if aggregate == "min" else sum(values) / len(values))
     best = max(scores)
     return PlacementSearchResult(
         objective=objective,
-        k=k if objective is Objective.REMAINDER_AT_K else None,
+        k=k,
         aggregate=aggregate,
         scores=tuple(scores),
         best_positions=tuple(p for p, s in enumerate(scores, start=1) if best - s <= tol),

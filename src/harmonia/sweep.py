@@ -11,48 +11,50 @@ guaranteed for the model's regime:
   every factored model, which deliberately excludes the cross-slot
   comparisons because they can genuinely fail there.
 
-Every row lands in one CSV with a fixed sort order, so reruns with the same
-config are byte-identical apart from an optional timestamp comment.  A
-failing model is serialised to disk next to the report for a post-mortem.
+``battery_plan`` states those relations once per (n, regime) as a plan over
+axis bitmasks; ``theorem_battery`` evaluates it on a model's joint, adds the
+identity and harmony rows and sorts them by (theorem, relation).  With the
+models in model_id order the report is sorted, so reruns with the same config
+are byte-identical apart from an optional timestamp comment.  A failing model
+is serialised to disk next to the report for a post-mortem.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import operator
 import os
 import time
 from dataclasses import dataclass, fields
+from functools import cache
 from multiprocessing import get_context
 from pathlib import Path
 from typing import IO, Iterable
 
 from .distributions import (
-    HEAD,
     FactoredModel,
     JointTable,
     ValidationError,
-    VarSet,
     check_factorization,
-    dep_range,
 )
-from .information import (
-    DEFAULT_TOLERANCE,
-    chain_rule_residual,
-    conditional_mutual_information,
-    direct_mutual_information,
-)
+from .information import DEFAULT_TOLERANCE, chain_rule_residual_of, direct_mi_of
 from .generators import ModelSpec, derive_seed, random_model
 from .placement import (
+    HEAD_MASK,
     Objective,
+    PlanEntry,
     Relation,
     RelationCheck,
-    lattice_report,
+    _evaluate,
+    deps_mask,
+    irrelevance_plan,
+    lattice_plan,
     optimal_head_position,
+    pending_plan,
     relation_check,
+    remainder_plan,
     remainder_relation_checks,
-    verify_irrelevance,
-    verify_pending_theorem,
 )
 
 #: Tolerance for conditional-independence self-checks, tighter than the
@@ -124,8 +126,10 @@ class RunConfig:
             raise ValidationError(f"out must be a path string, got {self.out!r}")
         if not isinstance(self.timestamp, bool):
             raise ValidationError(f"timestamp must be true or false, got {self.timestamp!r}")
-        if not self.tolerance > 0:
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
+        for name in ("tolerance", "concentration"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"{name} must be a positive finite number, got {value}")
         if self.sweep_size < 1:
             raise ValidationError(f"sweep size must be >= 1, got {self.sweep_size}")
         if self.seed < 0:
@@ -134,10 +138,6 @@ class RunConfig:
             raise ValidationError(f"n values must all be >= 1, got {self.n_values}")
         if any(s < 1 for s in self.head_sizes + self.dep_sizes):
             raise ValidationError("alphabet sizes must all be >= 1")
-        if not self.concentration > 0:
-            raise ValidationError(
-                f"concentration must be positive, got {self.concentration}"
-            )
         if self.aggregate not in ("min", "mean"):
             raise ValidationError(f"aggregate must be 'min' or 'mean', got {self.aggregate!r}")
         if self.workers is not None and self.workers < 1:
@@ -193,113 +193,90 @@ def _row(model_id: str, theorem: str, check: RelationCheck) -> SweepRow:
     )
 
 
+def _names(first: int, last: int) -> str:
+    return "+".join(f"dep{i}" for i in range(first, last + 1))
+
+
+@cache
+def battery_plan(n: int, identical_channels: bool) -> tuple[PlanEntry, ...]:
+    """The battery's entropy-table relations for ``n`` dependents, built once
+    per (n, regime).  The entries marked ``cross_slot`` (full pending part 1
+    and lattice relations 4..7) are included exactly when the dependents
+    share one conditional table.
+    """
+    # Dependents are independent given the head: prefix splits, then pairs
+    # (for n = 2 the one pair is the k=1 split, so it is checked once).
+    splits = [((1, k), (k + 1, n)) for k in range(1, n)]
+    if n > 2:
+        splits += [((i, i), (j, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    plan = [
+        PlanEntry("given-head-independence", f"independence {_names(*left)} vs {_names(*right)}",
+                  Relation.EQ, (deps_mask(*left), deps_mask(*right), HEAD_MASK), (0, 0),
+                  INDEPENDENCE_TOL)
+        for left, right in splits
+    ]
+    plan += remainder_plan(n)
+    for k in range(1, n + 1):
+        for j in range(k, n + 1):
+            plan += pending_plan(k, j)
+            if j > k:
+                plan += irrelevance_plan(k, j)
+    for k in range(1, n):
+        plan += lattice_plan(n, k)
+    return tuple(e for e in plan if identical_channels or not e.cross_slot)
+
+
 def theorem_battery(
     model: FactoredModel,
     tol: float = DEFAULT_TOLERANCE,
     aggregate: str = "min",
 ) -> list[tuple[str, RelationCheck]]:
-    """Every guaranteed relation for one model, as (theorem, check) pairs.
-
-    The slot-comparing relations (the checks marked ``cross_slot``: full
-    pending part 1 and lattice relations 4..7) are included exactly when the
-    model's dependents share one conditional table.
-    """
-    n = model.n
-    joint = model.joint
-    head = VarSet((HEAD,))
-    all_deps = dep_range(1, n)
-    out: list[tuple[str, RelationCheck]] = []
+    """Every guaranteed relation for one model, as (theorem, check) pairs in
+    (theorem, relation) order: ``battery_plan`` evaluated on the model's
+    joint, plus the identity and harmony rows."""
+    n, joint = model.n, model.joint
+    plan = battery_plan(n, model.has_identical_channels)
+    out = [(e.theorem, check) for e, check in zip(plan, _evaluate(joint, plan, tol))]
 
     # Exact identities of the information measures: MI is symmetric, and the
     # chain rule holds.  The entropy table satisfies them by construction, so
     # symmetry is checked on the direct-summation path and the chain rule
     # against it.
-    out.append(
-        ("identity", relation_check(
-            "symmetry head-vs-deps", Relation.EQ,
-            direct_mutual_information(joint, head, all_deps),
-            direct_mutual_information(joint, all_deps, head), 0.0,
-        ))
-    )
+    first, rest = 1 << 1, deps_mask(2, n)
+    symmetric = [("symmetry head-vs-deps", HEAD_MASK, deps_mask(1, n))]
+    residuals = []
     if n >= 2:
-        first = dep_range(1, 1)
-        rest = dep_range(2, n)
-        out.append(
-            ("identity", relation_check(
-                "symmetry dep1-vs-rest", Relation.EQ,
-                direct_mutual_information(joint, first, head | rest),
-                direct_mutual_information(joint, head | rest, first), 0.0,
-            ))
-        )
-        for name, x1, x2, y in (
-            ("chain-rule deps-about-head", first, rest, head),
-            ("chain-rule head+dep1-about-rest", head, first, rest),
-        ):
-            out.append(
-                ("identity", relation_check(
-                    name, Relation.EQ, chain_rule_residual(joint, x1, x2, y), 0.0, tol,
-                ))
-            )
-        # Dependents are independent given the head: prefix splits, then pairs
-        # (for n = 2 the one pair is the k=1 split, so it is checked once).
-        splits = [(dep_range(1, k), dep_range(k + 1, n)) for k in range(1, n)]
-        splits += [
-            (dep_range(i, i), dep_range(j, j))
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-            if n > 2
-        ]
-        for left, right in splits:
-            residual = conditional_mutual_information(joint, left, right, head)
-            name = f"independence {'+'.join(left.names)} vs {'+'.join(right.names)}"
-            out.append(
-                ("given-head-independence", relation_check(
-                    name, Relation.EQ, residual, 0.0, INDEPENDENCE_TOL,
-                ))
-            )
-
-    out += [("remainder", check) for check in remainder_relation_checks(joint, tol)]
-    for k in range(1, n + 1):
-        for j in range(k, n + 1):
-            out += [("pending", check) for check in verify_pending_theorem(model, k, j, tol)]
-    for k in range(1, n + 1):
-        for j in range(k + 1, n + 1):
-            out.append(("irrelevance", verify_irrelevance(model, k, j, tol)))
-    for k in range(1, n):
-        out += [("lattice", check) for check in lattice_report(model, k, tol).checks]
+        symmetric.append(("symmetry dep1-vs-rest", first, HEAD_MASK | rest))
+        residuals = [("chain-rule deps-about-head", first, rest, HEAD_MASK),
+                     ("chain-rule head+dep1-about-rest", HEAD_MASK, first, rest)]
+    out += [("identity", relation_check(name, Relation.EQ, direct_mi_of(joint, x, y),
+                                        direct_mi_of(joint, y, x), 0.0))
+            for name, x, y in symmetric]
+    out += [("identity", relation_check(name, Relation.EQ, chain_rule_residual_of(joint, *masks),
+                                        0.0, tol))
+            for name, *masks in residuals]
 
     # Harmony contracts: which head positions attain each objective's max.
     # Producing every dependent first can only add information about the
     # head, and the head informs every dependent at least as well as a
     # sibling does.
-    head_scores = optimal_head_position(model, Objective.HEAD_PREDICTABILITY).scores
-    out.append(
-        ("harmony", relation_check(
-            "head-last attains head-predictability max", Relation.EQ,
-            max(head_scores), head_scores[n], 0.0,
-        ))
-    )
-    dep_scores = optimal_head_position(
+    head = optimal_head_position(model, Objective.HEAD_PREDICTABILITY).scores
+    dependent = optimal_head_position(
         model, Objective.DEPENDENT_PREDICTABILITY, aggregate=aggregate
     ).scores
-    out.append(
-        ("harmony", relation_check(
-            "head-first attains dependent-predictability max", Relation.EQ,
-            max(dep_scores), dep_scores[0], tol,
-        ))
-    )
+    harmony = [
+        relation_check("head-last attains head-predictability max", Relation.EQ,
+                       max(head), head[n], 0.0),
+        relation_check("head-first attains dependent-predictability max", Relation.EQ,
+                       max(dependent), dependent[0], tol),
+    ]
     if n == 1:
         # A single dependent: both orders give I(head; dep1), by symmetry.
         remainder = optimal_head_position(model, Objective.REMAINDER_AT_K, k=1).scores
-        out.append(
-            ("harmony", relation_check(
-                "n=1 head-first equals head-last", Relation.EQ,
-                remainder[0] - remainder[1], 0.0, INDEPENDENCE_TOL,
-            ))
-        )
-    if model.has_identical_channels:
-        return out
-    return [(theorem, check) for theorem, check in out if not check.cross_slot]
+        harmony.append(relation_check("n=1 head-first equals head-last", Relation.EQ,
+                                      remainder[0] - remainder[1], 0.0, INDEPENDENCE_TOL))
+    out += [("harmony", check) for check in harmony]
+    return sorted(out, key=lambda pair: (pair[0], pair[1].name))
 
 
 def checks_for_joint(joint: JointTable, tol: float = DEFAULT_TOLERANCE) -> list[tuple[str, RelationCheck]]:
@@ -332,7 +309,7 @@ class SweepTask:
 
 
 def sweep_tasks(config: RunConfig) -> list[SweepTask]:
-    """The deterministic model grid for a config, in model_id order."""
+    """The deterministic model grid for a config, regimes alternating."""
     tasks: list[SweepTask] = []
     index = 0
     for n in config.n_values:
@@ -383,7 +360,9 @@ class SweepResult:
 def run_sweep(config: RunConfig) -> SweepResult:
     """Run the whole battery over the config's model grid."""
     start = time.perf_counter()
-    tasks = sweep_tasks(config)
+    # Each model's rows come in (theorem, relation) order, so taking the
+    # models in model_id order sorts the report.
+    tasks = sorted(sweep_tasks(config), key=lambda t: t.model_id)
     workers = min(resolve_workers(config.workers), len(tasks))
     if workers > 1:
         ctx = get_context()
@@ -395,7 +374,6 @@ def run_sweep(config: RunConfig) -> SweepResult:
             _battery_rows(t, config.tolerance, config.aggregate) for t in tasks
         ]
     rows = [row for chunk in per_task for row in chunk]
-    rows.sort(key=lambda r: (r.model_id, r.theorem, r.relation))
     elapsed = time.perf_counter() - start
     return SweepResult(
         config=config, rows=rows, elapsed_seconds=elapsed, model_count=len(tasks)
@@ -405,13 +383,16 @@ def run_sweep(config: RunConfig) -> SweepResult:
 def write_report(
     rows: Iterable[SweepRow], out: IO[str], timestamp: bool = True
 ) -> None:
-    """Write the report CSV through one writer, sorted and reproducible."""
-    ordered = sorted(rows, key=lambda r: (r.model_id, r.theorem, r.relation))
+    """Write the report CSV through one writer, rows in the order given.
+
+    ``run_sweep`` and ``theorem_battery`` give rows in (model_id, theorem,
+    relation) order, so a report of either is sorted and reproducible.
+    """
     if timestamp:
         out.write(f"# generated-at: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in ordered:
+    for r in rows:
         writer.writerow(
             (
                 r.model_id,

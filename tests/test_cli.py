@@ -4,10 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from harmonia import file_metadata, load_model
+import harmonia
+from harmonia import ModelSpec, file_metadata, load_model, random_model, save_joint
 from harmonia.cli import main
 
 
@@ -195,6 +201,24 @@ def test_verify_input_pins_the_diagnosis_text(capsys, tmp_path):
     }
 
 
+def test_verify_input_reads_a_permuted_joint_like_the_canonical_one(capsys, tmp_path):
+    """A joint file may list its axes in any order; it is read as head, dep1..n."""
+    joint = random_model(ModelSpec(n=3, head_size=3, dep_sizes=(2, 3, 2), seed=0)).joint
+    canonical, permuted = tmp_path / "a" / "joint.json", tmp_path / "b" / "joint.json"
+    canonical.parent.mkdir()
+    permuted.parent.mkdir()
+    save_joint(joint, canonical)
+    document = json.loads(canonical.read_text())
+    order = (2, 0, 3, 1)  # dep2, head, dep3, dep1
+    document["variables"] = [document["variables"][a] for a in order]
+    document["alphabets"] = [document["alphabets"][a] for a in order]
+    document["probabilities"] = np.transpose(joint.probs, order).tolist()
+    permuted.write_text(json.dumps(document))
+    reports = [run(capsys, "verify", "--input", str(p), "--no-timestamp") for p in (canonical, permuted)]
+    assert reports[0][0] == 0
+    assert reports[1][:2] == reports[0][:2]
+
+
 def _copy_model_json(**changes):
     obj = {
         "format": "harmonia-model", "version": 1,
@@ -238,16 +262,25 @@ def test_verify_input_rejects_nan_probabilities(capsys, tmp_path, document):
         ("model", _copy_model_json(head_alphabet={"size": "two"})),
         ("model", _copy_model_json(dep_alphabets=5)),
         ("gen", None),
+        ("profile", "-1"),
+        ("profile", "nan"),
+        ("verify", "inf"),
     ],
     ids=["sweep-size-text", "n-values-scalar", "tolerance-text", "seed-float",
          "workers-float", "timestamp-text", "head-prior-text", "ragged-table", "size-text",
-         "dep-alphabets-scalar", "gen-negative-seed"],
+         "dep-alphabets-scalar", "gen-negative-seed", "profile-tol-negative",
+         "profile-tol-nan", "verify-tol-inf"],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, kind, content):
     """A broken input is a usage error (exit 2), never a traceback or exit 1."""
     path = tmp_path / f"{kind}.json"
     if kind == "gen":
         argv = ["gen", "random", "--n", "2", "--seed", "-1", "--out", str(path)]
+    elif kind == "profile":
+        path.write_text(json.dumps(_copy_model_json()))
+        argv = ["profile", str(path), "--tol", content]
+    elif kind == "verify":
+        argv = ["verify", "--models", "1", "--n", "1", "--tol", content, "--no-timestamp"]
     else:
         path.write_text(json.dumps(content))
         flag = "--config" if kind == "config" else "--input"
@@ -255,8 +288,31 @@ def test_malformed_input_exits_2(capsys, tmp_path, kind, content):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
-    if kind != "gen":
+    if kind in ("config", "model"):
         assert str(path) in err
+
+
+def test_extreme_concentrations_exit_2_promptly():
+    """Concentrations whose Dirichlet rows never come out finite are refused.
+
+    The commands run in a child process with a timeout, so that a draw loop
+    that never ends fails this test instead of hanging the suite.
+    """
+    argvs = [
+        argv + ["--concentration", concentration]
+        for concentration in ("inf", "nan", "1e308", "1e-10")
+        for argv in (["gen", "random", "--n", "2", "--out", os.devnull],
+                     ["verify", "--models", "1", "--n", "1", "--no-timestamp"])
+    ]
+    script = "import json, sys\nfrom harmonia.cli import main\n" \
+             "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))"
+    src = str(Path(harmonia.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert json.loads(done.stdout) == [2] * len(argvs)
+    assert done.stderr.count("error: ") == len(argvs)
 
 
 # -- profile --------------------------------------------------------------------------

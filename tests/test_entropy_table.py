@@ -9,6 +9,7 @@ must agree with ``tests/oracles.py`` within 1e-12 nats.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +18,10 @@ from harmonia import (
     Alphabet,
     JointTable,
     ModelSpec,
+    ValidationError,
     build_joint,
     conditional_mutual_information,
+    copy_model,
     dep,
     entropy,
     mutual_information,
@@ -127,3 +130,10 @@ def test_single_value_alphabets_carry_no_information():
     joint = build_joint(random_model(ModelSpec(n=1, head_size=1, dep_sizes=1, seed=3)))
     assert entropy(joint, [HEAD, dep(1)]) == 0.0
     assert mutual_information(joint, HEAD, dep(1)) == 0.0
+
+
+def test_a_mask_beyond_the_axes_is_refused():
+    """A mask for more dependents than the joint has must not be read silently."""
+    joint = build_joint(copy_model(2, 2, 0.1))
+    with pytest.raises(ValidationError, match="axes"):
+        joint.entropy_of(1 << 3)

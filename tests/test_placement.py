@@ -9,6 +9,7 @@ from harmonia import (
     HEAD,
     FactoredModel,
     Alphabet,
+    JointTable,
     ModelSpec,
     Objective,
     Placement,
@@ -171,6 +172,22 @@ def test_remainder_holds_on_random_models(seed):
     model = heterogeneous(seed, n=n, dep_sizes=(2, 3, 5, 2)[:n])
     for check in verify_remainder_theorem(model):
         assert check.holds, check
+
+
+def test_relation_checks_refuse_a_joint_with_permuted_axes():
+    """Plan masks read axis i as variable i, so another axis order is refused."""
+    joint = correlated_pair_counterexample()
+    permuted = JointTable(
+        variables=(dep(1), HEAD, dep(2)),
+        alphabets=joint.alphabets,
+        probs=np.transpose(joint.probs, (1, 0, 2)),
+    )
+    with pytest.raises(ValidationError, match="head, dep1..n"):
+        remainder_relation_checks(permuted)
+    with pytest.raises(ValidationError, match="head, dep1..n"):
+        placement_profile(permuted, Placement.head_first(2))
+    with pytest.raises(ValidationError, match="dependents"):
+        placement_profile(joint, Placement.head_first(3))
 
 
 def test_remainder_reverses_on_the_counterexample():

@@ -3,20 +3,32 @@
 import io
 import math
 import os
+import re
 
+import numpy as np
 import pytest
 
 from harmonia import (
+    HEAD,
+    Alphabet,
+    FactoredModel,
+    JointTable,
+    ModelSpec,
     RunConfig,
     ValidationError,
+    VarSet,
     build_joint,
     copy_model,
     correlated_pair_counterexample,
+    dep,
     independent_model,
+    random_model,
     run_sweep,
     theorem_battery,
     write_report,
 )
+import harmonia.information
+import harmonia.sweep
 from harmonia.sweep import (
     CSV_HEADER,
     checks_for_joint,
@@ -24,6 +36,8 @@ from harmonia.sweep import (
     sweep_tasks,
     write_witnesses,
 )
+
+from oracles import brute_mi
 
 SMALL = RunConfig(
     sweep_size=4,
@@ -164,6 +178,158 @@ def test_battery_identity_checks_are_bit_exact():
             assert check.lhs == check.rhs
 
 
+# -- the battery against the brute-force oracle ------------------------------------
+
+
+def _deps(first, last):
+    return [dep(i) for i in range(first, last + 1)]
+
+
+def _lattice_cells(n, k, mi):
+    """The cells of ``LatticeReport``'s docstring."""
+    head = [HEAD]
+    cells = {
+        "head_pred_k": mi(_deps(1, k), head),
+        "head_pred_k1": mi(_deps(1, k + 1), head),
+        "dep_with_head_k": mi(head + _deps(1, k - 1), [dep(k)]),
+        "dep_with_head_k1": mi(head + _deps(1, k), [dep(k + 1)]),
+        "dep_without_head_k": mi(_deps(1, k), [dep(k + 1)]),
+    }
+    if k + 2 <= n:
+        cells["dep_without_head_k1"] = mi(_deps(1, k + 1), [dep(k + 2)])
+    return cells
+
+
+#: Lattice relation number -> (lhs cell, rhs cell), read from the docstrings of
+#: ``lattice_report`` and ``LatticeReport``.
+LATTICE_SIDES = {
+    1: ("head_pred_k", "head_pred_k1"),
+    2: ("dep_with_head_k", "head_pred_k"),
+    3: ("dep_with_head_k1", "head_pred_k1"),
+    4: ("dep_with_head_k", "dep_with_head_k1"),
+    5: ("dep_without_head_k", "dep_with_head_k"),
+    6: ("dep_without_head_k1", "dep_with_head_k1"),
+    7: ("dep_without_head_k", "dep_without_head_k1"),
+}
+
+
+def _expected_sides(name, joint, n):
+    """Both sides of a battery row, stated as the docstrings state them and
+    summed by brute force; None for the families the oracle does not cover."""
+    head = [HEAD]
+
+    def mi(x, y):
+        return brute_mi(joint, x, y)
+
+    stage = {key: int(value) for key, value in re.findall(r"\b([kj])=(\d+)", name)}
+    k, j = stage.get("k"), stage.get("j")
+    if name == "remainder k=1 (head first)":
+        return mi(head, _deps(1, n)), mi([dep(1)], head + _deps(2, n))
+    if name == f"remainder k={n} (head last)":
+        return mi(_deps(1, n), head), mi(head + _deps(1, n - 1), [dep(n)])
+    if "part1" in name:
+        return mi(head + _deps(1, k - 1), [dep(j)]), mi(_deps(1, k), head)
+    if "part2" in name:
+        return mi(_deps(1, k), [dep(j)]), mi(_deps(1, k), head)
+    if "part3" in name:
+        return mi(_deps(1, k), [dep(j)]), mi(head + _deps(1, k - 1), [dep(j)])
+    if name.startswith("irrelevance"):
+        return mi(head + _deps(1, k), [dep(j)]), mi(head, [dep(j)])
+    if name.startswith("lattice"):
+        cells = _lattice_cells(n, k, mi)
+        lhs, rhs = LATTICE_SIDES[int(re.search(r"\((\d)\)", name).group(1))]
+        return cells[lhs], cells[rhs]
+    if name == "head-last attains head-predictability max":
+        # Position p produces dep1..p-1 before the head.
+        scores = [mi(_deps(1, p - 1), head) for p in range(1, n + 2)]
+        return max(scores), scores[n]
+    if name == "head-first attains dependent-predictability max":
+        # The first element is the head at position 1 and dep1 after it; the
+        # score is the least it says about a dependent still pending.
+        first = min(mi(head, [dep(i)]) for i in range(1, n + 1))
+        later = min((mi([dep(1)], [dep(i)]) for i in range(2, n + 1)), default=0.0)
+        return max(first, later), first
+    if name == "n=1 head-first equals head-last":
+        return mi(head, [dep(1)]) - mi([dep(1)], head), 0.0
+    return None
+
+
+def _spiky(identical):
+    """Zero cells everywhere: a head value of probability 0 and rows with zeros."""
+    table = np.array([[1.0, 0.0, 0.0], [0.0, 0.25, 0.75], [0.5, 0.5, 0.0]])
+    other = np.array([[0.0, 1.0, 0.0], [0.9, 0.0, 0.1], [0.0, 0.0, 1.0]])
+    tables = (table,) * 3 if identical else (table, other, table[::-1])
+    return FactoredModel(
+        head_alphabet=Alphabet(3),
+        dep_alphabets=(Alphabet(3),) * 3,
+        head_prior=np.array([0.7, 0.3, 0.0]),
+        cond_tables=tables,
+    )
+
+
+ORACLE_MODELS = [
+    pytest.param(
+        random_model(ModelSpec(n=n, head_size=3, dep_sizes=2 if identical else (2, 3, 2, 3)[:n],
+                               seed=40 + n, identical_channels=identical)),
+        id=f"n{n}-{'id' if identical else 'ps'}",
+    )
+    for n in range(1, 5)
+    for identical in (True, False)
+] + [pytest.param(_spiky(True), id="spiky-id"), pytest.param(_spiky(False), id="spiky-ps")]
+
+
+@pytest.mark.parametrize("model", ORACLE_MODELS)
+def test_battery_sides_match_the_brute_force_oracle(model):
+    """Remainder, pending, irrelevance, lattice and harmony rows against brute_mi."""
+    joint = build_joint(model)
+    checked = set()
+    for theorem, check in theorem_battery(model):
+        expected = _expected_sides(check.name, joint, model.n)
+        if theorem in ("identity", "given-head-independence"):
+            assert expected is None
+            continue
+        assert expected is not None, check.name
+        assert check.lhs == pytest.approx(expected[0], abs=1e-12), check.name
+        assert check.rhs == pytest.approx(expected[1], abs=1e-12), check.name
+        checked.add(theorem)
+    families = {"remainder", "pending", "harmony"}
+    assert checked == families | ({"irrelevance", "lattice"} if model.n > 1 else set())
+
+
+def test_models_of_one_n_and_regime_share_one_plan(monkeypatch):
+    plans = []
+    build = harmonia.sweep.battery_plan
+
+    def recording(n, identical_channels):
+        plans.append(build(n, identical_channels))
+        return plans[-1]
+
+    monkeypatch.setattr(harmonia.sweep, "battery_plan", recording)
+    for seed, head_size in ((1, 2), (2, 5)):
+        spec = ModelSpec(n=3, head_size=head_size, dep_sizes=3, seed=seed,
+                         identical_channels=True)
+        theorem_battery(random_model(spec))
+    assert len(plans) == 2 and plans[0] is plans[1]
+    assert build(3, False) is not plans[0]
+
+
+def test_battery_builds_no_variable_sets_per_model(monkeypatch):
+    """Per model the battery only looks entropies up: no VarSet, no mask
+    validation, no search for a variable's axis."""
+    first = random_model(ModelSpec(n=4, head_size=3, dep_sizes=2, seed=5))
+    second = random_model(ModelSpec(n=4, head_size=2, dep_sizes=3, seed=6))
+    theorem_battery(first)
+    second.joint
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the battery path")
+
+    monkeypatch.setattr(VarSet, "__init__", refuse)
+    monkeypatch.setattr(JointTable, "axis_of", refuse)
+    monkeypatch.setattr(harmonia.information, "_masks", refuse)
+    assert all(check.holds for _, check in theorem_battery(second))
+
+
 def test_checks_for_joint_flags_the_counterexample():
     pairs = checks_for_joint(correlated_pair_counterexample())
     by_name = {check.name: check for _, check in pairs}
@@ -193,6 +359,15 @@ def test_small_sweep_has_zero_failures():
 def test_sweep_rows_are_sorted():
     rows = run_sweep(SMALL).rows
     keys = [(r.model_id, r.theorem, r.relation) for r in rows]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("identical", [True, False])
+def test_battery_rows_come_in_theorem_relation_order(identical):
+    """``verify --input`` writes one model's rows as the battery returns them."""
+    model = random_model(ModelSpec(n=4, head_size=3, dep_sizes=2, seed=11,
+                                   identical_channels=identical))
+    keys = [(theorem, check.name) for theorem, check in theorem_battery(model)]
     assert keys == sorted(keys)
 
 
