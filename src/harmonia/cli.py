@@ -173,7 +173,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         writer.writerow(("head_position", "k", "measure", "target", "nats"))
         for pos in range(1, model.n + 2):
             placement = Placement(n=model.n, head_position=pos, dependent_order=order)
-            for row in placement_profile(model.joint, placement).rows:
+            for row in placement_profile(model, placement).rows:
                 writer.writerow((pos, row.k, "remainder", "", repr(row.remainder)))
                 for variable, value in row.pending_elements:
                     writer.writerow((pos, row.k, "element", variable.name, repr(value)))

@@ -2,10 +2,15 @@
 
 The objects here describe a two-layer generative story for a phrase: a head
 element is drawn from a prior, then each of ``n`` dependents is drawn
-independently from a conditional table given the head.  Everything downstream
-(information measures, placement analysis, estimation) works on the exact
-joint table this model induces, so the joint is materialised densely, up to
-``MAX_JOINT_CELLS`` cells, rather than approximated.
+independently from a conditional table given the head.  Every information
+measure is arithmetic on subset entropies (``entropy_of(mask)``), and two
+objects give them exactly.  A ``FactoredModel`` builds each subset's marginal
+from the head prior and that subset's own conditional tables, which the
+relation checks, the head-position search and the profiles read.  A
+``JointTable`` sums the marginal out of a dense joint, materialised up to
+``MAX_JOINT_CELLS`` cells rather than approximated; it serves joint files,
+sampling and scoring, and the direct-summation path that the identity checks
+compare against.
 
 Probabilities are plain float64 numpy arrays.  Validation is strict: entries
 must be numbers in [0, 1] (NaN is rejected), rows must sum to one within a
@@ -19,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -197,6 +202,41 @@ def dep_range(first: int, last: int) -> VarSet:
 
 
 # ---------------------------------------------------------------------------
+# Subset entropies
+# ---------------------------------------------------------------------------
+
+
+class EntropySource(Protocol):
+    """Anything that gives subset entropies: a ``JointTable`` or a ``FactoredModel``."""
+
+    def entropy_of(self, mask: int) -> float:
+        """Entropy, in nats, of the marginal over the axes set in ``mask``."""
+
+
+def _entropy(p: np.ndarray) -> float:
+    """Shannon entropy, in nats, of the cells of ``p``, with ``0 * log 0 = 0``.
+
+    The cells are summed in C order without the zeros, from a view of ``p``
+    when it has none."""
+    p = p.ravel() if p.min() > 0.0 else p[p > 0.0]
+    terms = np.log(p)
+    terms *= p
+    return -float(terms.sum())
+
+
+def _product(head_prior: np.ndarray, tables: Iterable[np.ndarray]) -> np.ndarray:
+    """p(head) times each table's p(dep | head): the joint over the head and
+    those dependents, one axis each in the order given."""
+    probs = head_prior
+    for i, table in enumerate(tables):
+        # probs has shape (head, d1..di-1); append the axis for dependent i.
+        probs = probs[..., np.newaxis] * table.reshape(
+            (head_prior.shape[0],) + (1,) * i + (table.shape[1],)
+        )
+    return probs
+
+
+# ---------------------------------------------------------------------------
 # Factored model
 # ---------------------------------------------------------------------------
 
@@ -215,6 +255,10 @@ class FactoredModel:
     dep_alphabets: tuple[Alphabet, ...]
     head_prior: np.ndarray
     cond_tables: tuple[np.ndarray, ...]
+    #: Subset entropies by axis bitmask; floats only, filled on demand.
+    _entropies: dict[int, float] = field(
+        default_factory=lambda: {0: 0.0}, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dep_alphabets", tuple(self.dep_alphabets))
@@ -266,6 +310,32 @@ class FactoredModel:
         """The exact joint table, built on first use and shared by every later query."""
         return build_joint(self)
 
+    def entropy_of(self, mask: int) -> float:
+        """Entropy, in nats, of the marginal over the axes set in ``mask``,
+        read off the factors without the dense joint.
+
+        Bit 0 of ``mask`` is the head and bit ``i`` dependent ``i``, the axes
+        of ``joint``; the empty mask has entropy 0.  The dependents are
+        independent given the head, so the marginal over the head and the
+        masked dependents is the prior times those dependents' tables alone;
+        without the head bit, the head axis is summed away.  The result is
+        memoised by mask, together with that of the mask with the head bit
+        flipped, which the same product gives.
+        """
+        h = self._entropies.get(mask)
+        if h is None:
+            if mask >> self.n + 1:
+                raise ValidationError(f"mask {mask:#b} selects axes this model does not have")
+            # One product gives both H(head, S) and H(S), and the relation
+            # plans ask for both of most of their sets S.
+            p = _product(self.head_prior,
+                         [t for i, t in enumerate(self.cond_tables, 1) if mask >> i & 1])
+            self._entropies[mask | 1] = _entropy(p)
+            if mask > 1:
+                self._entropies[mask & ~1] = _entropy(p.sum(axis=0))
+            h = self._entropies[mask]
+        return h
+
 
 def _check_distribution(p: np.ndarray, shape: tuple[int, ...], what: str) -> None:
     if p.shape != shape:
@@ -288,8 +358,8 @@ def _check_distribution(p: np.ndarray, shape: tuple[int, ...], what: str) -> Non
 class JointTable:
     """A dense joint distribution over an ordered tuple of variables.
 
-    Every information measure is arithmetic on :meth:`entropy_of`, the entropy
-    of a subset of the axes, which each table memoises as it is asked for.
+    :meth:`entropy_of` gives the entropy of a subset of the axes, summed out of
+    the dense table and memoised as it is asked for.
     """
 
     variables: tuple[Variable, ...]
@@ -356,11 +426,7 @@ class JointTable:
             if mask >> self.probs.ndim:
                 raise ValidationError(f"mask {mask:#b} selects axes this table does not have")
             drop = tuple(i for i in range(self.probs.ndim) if not mask >> i & 1)
-            p = self.probs.sum(axis=drop) if drop else self.probs
-            p = p[p > 0.0]
-            terms = np.log(p)
-            terms *= p
-            h = self._entropies[mask] = -float(terms.sum())
+            h = self._entropies[mask] = _entropy(self.probs.sum(axis=drop) if drop else self.probs)
         return h
 
     def marginal(self, keep: VarSet | Variable | Iterable[Variable]) -> "JointTable":
@@ -425,12 +491,7 @@ def build_joint(model: FactoredModel) -> JointTable:
     cells = math.prod(sizes)
     if cells > MAX_JOINT_CELLS:
         raise JointSizeError(f"joint table would need {cells} cells, cap is {MAX_JOINT_CELLS}")
-    probs = model.head_prior.copy()
-    for i, table in enumerate(model.cond_tables):
-        # probs has shape (head, d1..di-1); append the axis for dependent i.
-        probs = probs[..., np.newaxis] * table.reshape(
-            (model.head_alphabet.size,) + (1,) * i + (table.shape[1],)
-        )
+    probs = _product(model.head_prior, model.cond_tables)
     variables = (HEAD,) + tuple(dep(i) for i in range(1, model.n + 1))
     alphabets = (model.head_alphabet,) + model.dep_alphabets
     return JointTable(variables=variables, alphabets=alphabets, probs=probs)

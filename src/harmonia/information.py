@@ -1,8 +1,7 @@
-"""Exact information measures over dense joint tables.
+"""Exact information measures.
 
-All quantities are in nats and are arithmetic on subset entropies of one
-table (``JointTable.entropy_of``, memoised per table), as in Cover & Thomas,
-*Elements of Information Theory*, ch. 2::
+All quantities are in nats and are arithmetic on the subset entropies of one
+source, as in Cover & Thomas, *Elements of Information Theory*, ch. 2::
 
     I(X; Y)     = H(X) + H(Y) - H(XY)
     I(X; Y | Z) = H(XZ) + H(YZ) - H(XYZ) - H(Z)
@@ -10,16 +9,19 @@ table (``JointTable.entropy_of``, memoised per table), as in Cover & Thomas,
 Entropies follow the ``0 * log 0 = 0`` convention.  Tiny negative results
 from floating-point cancellation (within ``CLAMP_BAND`` of zero) are clamped
 to exactly 0.0 so that downstream comparisons never see ``-1e-17``-style
-noise.
+noise.  A source is anything with a memoised ``entropy_of(mask)``: a
+``FactoredModel``, which reads each marginal off its factors, or a dense
+``JointTable``, which sums it out of the joint.
 
 Symmetry of mutual information is bit-exact by construction: swapping X and
 Y swaps the two leading terms, and IEEE addition commutes.  Identities that
-hold by construction prove nothing about the table, so
+hold by construction prove nothing about the entropies, so
 ``direct_mutual_information`` keeps an independent path, a direct summation
-over the marginal, for the checks that compare against it.
+over a dense joint's marginal, for the checks that compare against it.
 
-The public measures take variables and validate them; each ``*_of`` form
-takes trusted axis bitmasks instead, as ``JointTable.entropy_of`` does.
+The public measures take a joint table and variables and validate them; each
+``*_of`` form takes trusted axis bitmasks instead, as ``entropy_of`` does,
+and every one but ``direct_mi_of`` takes any source.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from .distributions import (
+    EntropySource,
     JointTable,
     ValidationError,
     Variable,
@@ -110,11 +113,15 @@ def direct_mi_of(joint: JointTable, mx: int, my: int) -> Nats:
     px = p.sum(axis=tuple(a for a, i in enumerate(keep) if my >> i & 1), keepdims=True)
     py = p.sum(axis=tuple(a for a, i in enumerate(keep) if mx >> i & 1), keepdims=True)
     mask = p > 0.0
-    terms = np.zeros_like(p)
-    np.divide(p, px * py, out=terms, where=mask)
+    # Only the cells in ``mask`` are summed, so the others may keep px * py;
+    # px and py go first, and a table without zero cells is summed in place,
+    # so that the reference path holds two arrays of the marginal's size.
+    terms = px * py
+    del px, py
+    np.divide(p, terms, out=terms, where=mask)
     np.log(terms, out=terms, where=mask)
     terms *= p
-    return _clamp(float(terms[mask].sum()))
+    return _clamp(float((terms if mask.all() else terms[mask]).sum()))
 
 
 def mutual_information(joint: JointTable, x: Vars, y: Vars) -> Nats:
@@ -134,11 +141,11 @@ def conditional_mutual_information(joint: JointTable, x: Vars, y: Vars, z: Vars 
     return mi_of(joint, *_masks(joint, *groups))
 
 
-def mi_of(joint: JointTable, mx: int, my: int, mz: int = 0) -> Nats:
+def mi_of(source: EntropySource, mx: int, my: int, mz: int = 0) -> Nats:
     """I(X; Y | Z) on axis bitmasks.  The empty mask has entropy 0.0, so
     ``mz = 0`` gives I(X; Y) bit for bit, which is exactly 0.0 when X or Y
     is empty."""
-    h = joint.entropy_of
+    h = source.entropy_of
     return _clamp(h(mx | mz) + h(my | mz) - h(mx | my | mz) - h(mz))
 
 
@@ -148,13 +155,16 @@ def chain_rule_residual(joint: JointTable, x1: Vars, x2: Vars, y: Vars) -> Nats:
     The left side is summed directly and the right side comes from the
     entropy table, so the residual measures how far the two paths disagree.
     """
-    return chain_rule_residual_of(joint, *_masks(joint, x1, x2, y))
+    return chain_rule_residual_of(joint, joint, *_masks(joint, x1, x2, y))
 
 
-def chain_rule_residual_of(joint: JointTable, m1: int, m2: int, my: int) -> Nats:
-    """``chain_rule_residual`` on axis bitmasks."""
+def chain_rule_residual_of(
+    joint: JointTable, source: EntropySource, m1: int, m2: int, my: int
+) -> Nats:
+    """``chain_rule_residual`` on axis bitmasks, with the left side summed
+    directly on ``joint`` and the right side from ``source``'s entropies."""
     lhs = direct_mi_of(joint, m1 | m2, my)
-    return abs(lhs - (mi_of(joint, m1, my) + mi_of(joint, m2, my, m1)))
+    return abs(lhs - (mi_of(source, m1, my) + mi_of(source, m2, my, m1)))
 
 
 @dataclass(frozen=True)
@@ -178,9 +188,9 @@ def is_markov_chain(
     return _verdict(conditional_mutual_information(joint, x, z, y), tol)
 
 
-def markov_of(joint: JointTable, mx: int, my: int, mz: int, tol: float) -> MarkovVerdict:
+def markov_of(source: EntropySource, mx: int, my: int, mz: int, tol: float) -> MarkovVerdict:
     """``is_markov_chain`` on axis bitmasks."""
-    return _verdict(mi_of(joint, mx, mz, my), tol)
+    return _verdict(mi_of(source, mx, mz, my), tol)
 
 
 def _verdict(residual: Nats, tol: float) -> MarkovVerdict:

@@ -10,15 +10,17 @@ them that hold for factored head/dependent models.
 Each relation compares two mutual informations, and each inequality becomes
 an equality exactly when one Markov chain X -> Y -> Z holds (the
 data-processing condition).  A check carries that chain as data: it is
-diagnosed on the joint when the two sides are close, and its display text
-(``head -> dep1 -> dep2..3``) is derived from it.
+diagnosed on the same entropies when the two sides are close, and its
+display text (``head -> dep1 -> dep2..3``) is derived from it.
 
 Which relations apply depends only on ``n`` and the stage.  So each family
 is stated once, as a plan: ``PlanEntry`` rows whose sides are axis bitmasks
-(bit 0 the head, bit ``i`` dependent ``i``), evaluated by entropy lookups on a
-joint with axes head, dep1..n, the order ``build_joint`` and the file loader
-produce.  ``verify_pending_theorem`` and the other checkers validate their
-arguments and evaluate their family's plan.
+(bit 0 the head, bit ``i`` dependent ``i``), evaluated by entropy lookups on
+any source over head, dep1..n.  For a model that source is the model itself,
+which reads each marginal off its factors and never builds the dense joint;
+a joint file's table is the other source, with its axes in the order the
+file loader produces.  ``verify_pending_theorem`` and the other checkers
+validate their arguments and evaluate their family's plan.
 
 Two families of relations need different care:
 
@@ -42,6 +44,7 @@ from typing import Iterable, NamedTuple
 
 from .distributions import (
     HEAD,
+    EntropySource,
     FactoredModel,
     JointTable,
     ValidationError,
@@ -211,7 +214,7 @@ def relation_check(
     lhs: Nats,
     rhs: Nats,
     tol: float,
-    joint: JointTable | None = None,
+    source: EntropySource | None = None,
     chain: Chain | None = None,
     cross_slot: bool = False,
 ) -> RelationCheck:
@@ -219,8 +222,8 @@ def relation_check(
 
     ``tol = 0.0`` makes an exact check (EQ then holds only on ``lhs == rhs``);
     a bound ``|value| <= tol`` is EQ of ``value`` against ``0.0``.  A
-    ``chain`` is diagnosed on ``joint`` when the two sides are within
-    ``10 * tol``.
+    ``chain`` is diagnosed on ``source``'s entropies when the two sides are
+    within ``10 * tol``.
     """
     if relation is Relation.LE:
         slack = rhs - lhs
@@ -230,7 +233,7 @@ def relation_check(
         slack = -abs(lhs - rhs)
     diagnosis = None
     if chain is not None and abs(lhs - rhs) <= 10.0 * tol:
-        diagnosis = markov_of(joint, *chain, tol)
+        diagnosis = markov_of(source, *chain, tol)
     return RelationCheck(
         name=name,
         relation=relation,
@@ -273,24 +276,27 @@ class PlanEntry(NamedTuple):
     cross_slot: bool = False
 
 
-def _evaluate(joint: JointTable, plan: Iterable[PlanEntry], tol: float) -> list[RelationCheck]:
-    """The checks of ``plan`` on ``joint``, whose axes must be head, dep1..n
+def _evaluate(source: EntropySource, plan: Iterable[PlanEntry], tol: float) -> list[RelationCheck]:
+    """The checks of ``plan`` on ``source``, whose axes must be head, dep1..n
     for the plan's ``n``; every entropy is a memoised lookup."""
     return [
-        relation_check(e.name, e.relation, mi_of(joint, *e.lhs), mi_of(joint, *e.rhs),
-                       tol if e.tol is None else e.tol, joint, e.chain, e.cross_slot)
+        relation_check(e.name, e.relation, mi_of(source, *e.lhs), mi_of(source, *e.rhs),
+                       tol if e.tol is None else e.tol, source, e.chain, e.cross_slot)
         for e in plan
     ]
 
 
-def _dependents(joint: JointTable) -> int:
-    """``n`` of a joint over head, dep1..n in that axis order, the order plan
-    masks assume; any other joint is refused rather than misread."""
-    n = len(joint.variables) - 1
-    if n < 1 or [v.index for v in joint.variables] != list(range(n + 1)):
+def _dependents(source: EntropySource) -> int:
+    """``n`` of a source over head, dep1..n in that axis order, the order plan
+    masks assume.  A model's axes always are; any other joint is refused
+    rather than misread."""
+    if isinstance(source, FactoredModel):
+        return source.n
+    n = len(source.variables) - 1
+    if n < 1 or [v.index for v in source.variables] != list(range(n + 1)):
         raise ValidationError(
             "relation checks need a joint over head, dep1..n in that axis order, "
-            f"got {[v.name for v in joint.variables]}"
+            f"got {[v.name for v in source.variables]}"
         )
     return n
 
@@ -313,10 +319,10 @@ def remainder_plan(n: int) -> list[PlanEntry]:
 
 
 def remainder_relation_checks(
-    joint: JointTable, tol: float = DEFAULT_TOLERANCE
+    source: EntropySource, tol: float = DEFAULT_TOLERANCE
 ) -> tuple[RelationCheck, RelationCheck]:
-    """The two boundary remainder relations, evaluated on any joint over
-    head, dep1..n (in that axis order).
+    """The two boundary remainder relations, evaluated on a factored model or
+    on any joint over head, dep1..n (in that axis order).
 
     Head-first: producing the head first tells you at least as much about the
     rest as producing the first dependent would, I(head; deps) >=
@@ -325,14 +331,14 @@ def remainder_relation_checks(
     equalities.  On a non-factored joint either relation can fail, which is
     exactly what these checks are for.
     """
-    return tuple(_evaluate(joint, remainder_plan(_dependents(joint)), tol))
+    return tuple(_evaluate(source, remainder_plan(_dependents(source)), tol))
 
 
 def verify_remainder_theorem(
     model: FactoredModel, tol: float = DEFAULT_TOLERANCE
 ) -> tuple[RelationCheck, RelationCheck]:
-    """Remainder relations on the exact joint of a factored model."""
-    return remainder_relation_checks(model.joint, tol)
+    """Remainder relations on the exact entropies of a factored model."""
+    return remainder_relation_checks(model, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +391,7 @@ def verify_pending_theorem(
         raise ValidationError(f"k={k} outside 1..{n}")
     if not k <= j <= n:
         raise ValidationError(f"j={j} outside the pending range {k}..{n}")
-    return tuple(_evaluate(model.joint, pending_plan(k, j), tol))
+    return tuple(_evaluate(model, pending_plan(k, j), tol))
 
 
 def irrelevance_plan(k: int, j: int) -> list[PlanEntry]:
@@ -406,7 +412,7 @@ def verify_irrelevance(
     n = model.n
     if not 1 <= k < j <= n:
         raise ValidationError(f"need 1 <= k < j <= n, got k={k}, j={j}, n={n}")
-    return _evaluate(model.joint, irrelevance_plan(k, j), tol)[0]
+    return _evaluate(model, irrelevance_plan(k, j), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +504,11 @@ def lattice_report(
     n = model.n
     if not 1 <= k < n:
         raise ValidationError(f"lattice stage needs 1 <= k < n, got k={k}, n={n}")
-    joint = model.joint
     return LatticeReport(
         k=k,
         n=n,
-        cells={name: mi_of(joint, *side) for name, side in _lattice_cells(n, k).items()},
-        checks=tuple(_evaluate(joint, lattice_plan(n, k), tol)),
+        cells={name: mi_of(model, *side) for name, side in _lattice_cells(n, k).items()},
+        checks=tuple(_evaluate(model, lattice_plan(n, k), tol)),
         not_applicable=() if k + 2 <= n else (6, 7),
     )
 
@@ -531,15 +536,16 @@ class ProfileReport:
     rows: tuple[StageRow, ...]
 
 
-def placement_profile(joint: JointTable, placement: Placement) -> ProfileReport:
-    """Remainder and per-pending-element predictability at every stage.
+def placement_profile(source: EntropySource, placement: Placement) -> ProfileReport:
+    """Remainder and per-pending-element predictability at every stage, on a
+    factored model or a joint over head, dep1..n.
 
     Row ``k = 0`` is all zeros by the empty-prefix convention; there is no row
     for ``k = n + 1`` because nothing is pending there.
     """
-    n = _dependents(joint)
+    n = _dependents(source)
     if n != placement.n:
-        raise ValidationError(f"placement has {placement.n} dependents, the joint has {n}")
+        raise ValidationError(f"placement has {placement.n} dependents, the source has {n}")
     seq = placement.sequence()
     everything = (1 << n + 1) - 1
     rows = []
@@ -549,8 +555,8 @@ def placement_profile(joint: JointTable, placement: Placement) -> ProfileReport:
             StageRow(
                 k=k,
                 produced=seq[:k],
-                remainder=mi_of(joint, produced, everything & ~produced),
-                pending_elements=tuple((v, mi_of(joint, produced, 1 << v.index)) for v in seq[k:]),
+                remainder=mi_of(source, produced, everything & ~produced),
+                pending_elements=tuple((v, mi_of(source, produced, 1 << v.index)) for v in seq[k:]),
             )
         )
         produced |= 1 << seq[k].index
@@ -623,7 +629,7 @@ def optimal_head_position(
         else:
             pairs = [(sum(seq[:k]), sum(seq[k:]))]
         # [0.0] when nothing is scored: n = 1 with the head second leaves no dependent pending.
-        values = [mi_of(model.joint, x, y) for x, y in pairs] or [0.0]
+        values = [mi_of(model, x, y) for x, y in pairs] or [0.0]
         scores.append(min(values) if aggregate == "min" else sum(values) / len(values))
     best = max(scores)
     return PlacementSearchResult(

@@ -12,8 +12,10 @@ guaranteed for the model's regime:
   comparisons because they can genuinely fail there.
 
 ``battery_plan`` states those relations once per (n, regime) as a plan over
-axis bitmasks; ``theorem_battery`` evaluates it on a model's joint, adds the
-identity and harmony rows and sorts them by (theorem, relation).  With the
+axis bitmasks; ``theorem_battery`` evaluates it on the model's own subset
+entropies, read off its factors, adds the harmony rows from the same
+entropies and the identity rows, which compare them with direct summation on
+the dense joint, and sorts the rows by (theorem, relation).  With the
 models in model_id order the report is sorted, so reruns with the same config
 are byte-identical apart from an optional timestamp comment.  A failing model
 is serialised to disk next to the report for a post-mortem.
@@ -136,6 +138,11 @@ class RunConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValidationError(f"n values must all be >= 1, got {self.n_values}")
+        for name in lists:
+            # A repeated value would give two different models one model_id.
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValidationError(f"{name} must not repeat a value, got {values}")
         if any(s < 1 for s in self.head_sizes + self.dep_sizes):
             raise ValidationError("alphabet sizes must all be >= 1")
         if self.aggregate not in ("min", "mean"):
@@ -232,16 +239,18 @@ def theorem_battery(
     aggregate: str = "min",
 ) -> list[tuple[str, RelationCheck]]:
     """Every guaranteed relation for one model, as (theorem, check) pairs in
-    (theorem, relation) order: ``battery_plan`` evaluated on the model's
-    joint, plus the identity and harmony rows."""
-    n, joint = model.n, model.joint
+    (theorem, relation) order: ``battery_plan`` and the harmony rows,
+    evaluated on the model's own entropies, plus the identity rows."""
+    n = model.n
     plan = battery_plan(n, model.has_identical_channels)
-    out = [(e.theorem, check) for e, check in zip(plan, _evaluate(joint, plan, tol))]
+    out = [(e.theorem, check) for e, check in zip(plan, _evaluate(model, plan, tol))]
 
     # Exact identities of the information measures: MI is symmetric, and the
-    # chain rule holds.  The entropy table satisfies them by construction, so
-    # symmetry is checked on the direct-summation path and the chain rule
-    # against it.
+    # chain rule holds.  The model's entropies satisfy them by construction,
+    # so symmetry is checked on the direct-summation path over the dense
+    # joint, and the chain rule compares that path with the model's
+    # entropies.  These are the only rows that build the joint, after the plan.
+    joint = model.joint
     first, rest = 1 << 1, deps_mask(2, n)
     symmetric = [("symmetry head-vs-deps", HEAD_MASK, deps_mask(1, n))]
     residuals = []
@@ -252,21 +261,22 @@ def theorem_battery(
     out += [("identity", relation_check(name, Relation.EQ, direct_mi_of(joint, x, y),
                                         direct_mi_of(joint, y, x), 0.0))
             for name, x, y in symmetric]
-    out += [("identity", relation_check(name, Relation.EQ, chain_rule_residual_of(joint, *masks),
-                                        0.0, tol))
+    out += [("identity", relation_check(
+                name, Relation.EQ, chain_rule_residual_of(joint, model, *masks), 0.0, tol))
             for name, *masks in residuals]
 
     # Harmony contracts: which head positions attain each objective's max.
     # Producing every dependent first can only add information about the
     # head, and the head informs every dependent at least as well as a
-    # sibling does.
+    # sibling does.  Both sides are sums of different entropies, so both
+    # rows take the tolerance.
     head = optimal_head_position(model, Objective.HEAD_PREDICTABILITY).scores
     dependent = optimal_head_position(
         model, Objective.DEPENDENT_PREDICTABILITY, aggregate=aggregate
     ).scores
     harmony = [
         relation_check("head-last attains head-predictability max", Relation.EQ,
-                       max(head), head[n], 0.0),
+                       max(head), head[n], tol),
         relation_check("head-first attains dependent-predictability max", Relation.EQ,
                        max(dependent), dependent[0], tol),
     ]

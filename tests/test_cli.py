@@ -257,6 +257,9 @@ def test_verify_input_rejects_nan_probabilities(capsys, tmp_path, document):
         ("config", {"seed": 1.5}),
         ("config", {"workers": 1.5}),
         ("config", {"timestamp": "no"}),
+        ("config", {"n_values": [2, 2]}),
+        ("config", {"head_sizes": [2, 3, 2]}),
+        ("config", {"dep_sizes": [5, 5]}),
         ("model", _copy_model_json(head_prior="ab")),
         ("model", _copy_model_json(cond_tables=[[[0.9, 0.1], [1.0]]])),
         ("model", _copy_model_json(head_alphabet={"size": "two"})),
@@ -267,7 +270,8 @@ def test_verify_input_rejects_nan_probabilities(capsys, tmp_path, document):
         ("verify", "inf"),
     ],
     ids=["sweep-size-text", "n-values-scalar", "tolerance-text", "seed-float",
-         "workers-float", "timestamp-text", "head-prior-text", "ragged-table", "size-text",
+         "workers-float", "timestamp-text", "n-values-repeated", "head-sizes-repeated",
+         "dep-sizes-repeated", "head-prior-text", "ragged-table", "size-text",
          "dep-alphabets-scalar", "gen-negative-seed", "profile-tol-negative",
          "profile-tol-nan", "verify-tol-inf"],
 )
@@ -290,6 +294,24 @@ def test_malformed_input_exits_2(capsys, tmp_path, kind, content):
     assert err.startswith("error: ")
     if kind in ("config", "model"):
         assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--models", "3", "--n", "1,2,5", "--head-sizes", "2,3", "--dep-sizes", "2",
+         "--concentration", "0.05", "--aggregate", "mean"],
+        ["--n", "3", "--head-sizes", "1", "--dep-sizes", "4", "--models", "4",
+         "--concentration", "0.3"],
+    ],
+    ids=["spiky-mean", "one-valued-head"],
+)
+def test_verify_forgives_rounding_noise_in_the_harmony_rows(capsys, tmp_path, argv):
+    """Sweeps whose head-last harmony sides differ only by rounding noise pass."""
+    code, _, err = run(capsys, "verify", *argv, "--no-timestamp",
+                       "--out", str(tmp_path / "report.csv"))
+    assert code == 0, err
+    assert not list(tmp_path.glob("witness-*"))
 
 
 def test_extreme_concentrations_exit_2_promptly():

@@ -1,9 +1,10 @@
-"""Property tests: the memoised entropy table against the brute-force oracles.
+"""Property tests: the memoised entropy sources against the brute-force oracles.
 
 Joints are drawn both from factored models (including spiky Dirichlet rows
 with low concentration) and as arbitrary non-factored tables with zero cells;
 alphabets may have a single value and n may be 1.  Every information measure
-must agree with ``tests/oracles.py`` within 1e-12 nats.
+must agree with ``tests/oracles.py`` within 1e-12 nats, and a model's own
+entropies, read off its factors, must agree with its dense joint's.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from harmonia import (
     HEAD,
     Alphabet,
+    FactoredModel,
     JointTable,
     ModelSpec,
     ValidationError,
@@ -74,6 +76,44 @@ joints = st.one_of(factored_joints(), arbitrary_joints())
 
 
 @st.composite
+def factored_models(draw):
+    """Either regime, n = 1..3, alphabets of size 1..3: spiky or smooth
+    Dirichlet tables, or hand-drawn ones in which about half of the cells,
+    head values included, are zero."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    identical = draw(st.booleans())
+    head_size = draw(sizes)
+    dep_sizes = (draw(sizes),) * n if identical else tuple(draw(sizes) for _ in range(n))
+    if draw(st.booleans()):
+        return random_model(ModelSpec(
+            n=n,
+            head_size=head_size,
+            dep_sizes=dep_sizes,
+            concentration=draw(st.sampled_from([0.02, 0.1, 1.0])),
+            seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+            identical_channels=identical,
+        ))
+
+    def distribution(size):
+        weights = draw(
+            st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)),
+                     min_size=size, max_size=size).filter(lambda w: sum(w) > 0.0)
+        )
+        return np.array(weights) / sum(weights)
+
+    def table(size):
+        return np.array([distribution(size) for _ in range(head_size)])
+
+    shared = table(dep_sizes[0])
+    return FactoredModel(
+        head_alphabet=Alphabet(head_size),
+        dep_alphabets=tuple(Alphabet(s) for s in dep_sizes),
+        head_prior=distribution(head_size),
+        cond_tables=tuple(shared if identical else table(s) for s in dep_sizes),
+    )
+
+
+@st.composite
 def joint_and_groups(draw):
     """A joint and disjoint groups X, Y (non-empty) and Z (possibly empty)."""
     joint = draw(joints)
@@ -126,6 +166,30 @@ def test_query_order_does_not_change_a_single_bit(joint, data):
     assert forward == backward
 
 
+@PROPERTY
+@given(factored_models())
+def test_model_entropies_match_its_dense_joint_on_every_mask(model):
+    """The factors' marginals and the dense joint's sums agree on every subset."""
+    joint = build_joint(model)
+    for mask in range(1 << model.n + 1):
+        assert abs(model.entropy_of(mask) - joint.entropy_of(mask)) <= TOL
+
+
+@PROPERTY
+@given(factored_models(), st.data())
+def test_model_query_order_does_not_change_a_single_bit(model, data):
+    """A model's subset entropy is the same float whenever it is asked for."""
+    masks = data.draw(
+        st.lists(st.integers(min_value=0, max_value=(1 << model.n + 1) - 1),
+                 min_size=1, max_size=6)
+    )
+    fresh = FactoredModel(model.head_alphabet, model.dep_alphabets, model.head_prior,
+                          model.cond_tables)
+    forward = [model.entropy_of(m) for m in masks]
+    backward = [fresh.entropy_of(m) for m in reversed(masks)][::-1]
+    assert forward == backward
+
+
 def test_single_value_alphabets_carry_no_information():
     joint = build_joint(random_model(ModelSpec(n=1, head_size=1, dep_sizes=1, seed=3)))
     assert entropy(joint, [HEAD, dep(1)]) == 0.0
@@ -133,7 +197,8 @@ def test_single_value_alphabets_carry_no_information():
 
 
 def test_a_mask_beyond_the_axes_is_refused():
-    """A mask for more dependents than the joint has must not be read silently."""
-    joint = build_joint(copy_model(2, 2, 0.1))
-    with pytest.raises(ValidationError, match="axes"):
-        joint.entropy_of(1 << 3)
+    """A mask for more dependents than the joint or model has must not be read silently."""
+    model = copy_model(2, 2, 0.1)
+    for source in (build_joint(model), model):
+        with pytest.raises(ValidationError, match="axes"):
+            source.entropy_of(1 << 3)

@@ -1,9 +1,11 @@
 """Sweep configuration, the per-model battery, and report output."""
 
+import gc
 import io
 import math
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from harmonia import (
     FactoredModel,
     JointTable,
     ModelSpec,
+    Objective,
+    Placement,
     RunConfig,
     ValidationError,
     VarSet,
@@ -22,15 +26,20 @@ from harmonia import (
     correlated_pair_counterexample,
     dep,
     independent_model,
+    optimal_head_position,
+    placement_profile,
     random_model,
     run_sweep,
     theorem_battery,
     write_report,
 )
+import harmonia.distributions
 import harmonia.information
 import harmonia.sweep
+from harmonia.placement import _evaluate
 from harmonia.sweep import (
     CSV_HEADER,
+    battery_plan,
     checks_for_joint,
     resolve_workers,
     sweep_tasks,
@@ -70,6 +79,9 @@ def test_config_validation():
         RunConfig(aggregate="median")
     with pytest.raises(ValidationError):
         RunConfig(workers=0)
+    for name in ("n_values", "head_sizes", "dep_sizes"):
+        with pytest.raises(ValidationError, match="repeat"):
+            RunConfig(**{name: (2, 3, 2)})
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -328,6 +340,55 @@ def test_battery_builds_no_variable_sets_per_model(monkeypatch):
     monkeypatch.setattr(JointTable, "axis_of", refuse)
     monkeypatch.setattr(harmonia.information, "_masks", refuse)
     assert all(check.holds for _, check in theorem_battery(second))
+
+
+@pytest.mark.parametrize("identical", [True, False])
+def test_plan_harmony_and_profiles_never_build_the_dense_joint(monkeypatch, identical):
+    """The model's own entropies serve every relation, score and profile."""
+
+    def refuse(model):
+        raise AssertionError("dense joint built")
+
+    monkeypatch.setattr(harmonia.distributions, "build_joint", refuse)
+    model = random_model(ModelSpec(n=4, head_size=3, dep_sizes=2, seed=7,
+                                   identical_channels=identical))
+    checks = _evaluate(model, battery_plan(4, identical), 1e-9)
+    assert checks and all(check.holds for check in checks)
+    for objective, k in ((Objective.HEAD_PREDICTABILITY, None),
+                         (Objective.DEPENDENT_PREDICTABILITY, None),
+                         (Objective.REMAINDER_AT_K, 2)):
+        optimal_head_position(model, objective, k=k)
+    for position in range(1, 6):
+        placement_profile(model, Placement(n=4, head_position=position))
+    assert "joint" not in vars(model)
+
+
+def test_identity_rows_compare_the_dense_joint_with_the_model_entropies():
+    """Wrong model entropies fail the chain-rule rows, which sum the left
+    side directly on the dense joint; symmetry rows read only the joint."""
+    model = random_model(ModelSpec(n=3, head_size=3, dep_sizes=2, seed=11))
+    theorem_battery(model)
+    rng = np.random.default_rng(0)
+    for mask in list(model._entropies):
+        if mask:
+            model._entropies[mask] += rng.uniform(1e-6, 1e-5)
+    identity = {check.name: check for theorem, check in theorem_battery(model)
+                if theorem == "identity"}
+    assert not any(check.holds for name, check in identity.items() if name.startswith("chain"))
+    assert all(check.holds for name, check in identity.items() if name.startswith("symmetry"))
+
+
+def test_dropping_a_model_frees_its_joint_without_the_cycle_collector():
+    gc.disable()
+    try:
+        model = random_model(ModelSpec(n=3, head_size=2, dep_sizes=2, seed=8))
+        theorem_battery(model)
+        placement_profile(model, Placement.head_first(3))
+        joint = weakref.ref(model.joint)
+        del model
+        assert joint() is None
+    finally:
+        gc.enable()
 
 
 def test_checks_for_joint_flags_the_counterexample():
