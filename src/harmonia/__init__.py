@@ -1,161 +1,44 @@
-"""Exact information-theoretic analysis of head placement in head/dependent sequences."""
+"""Exact information-theoretic analysis of head placement in head/dependent sequences.
+
+The package root exports the names below; everything else is imported from
+its module, for example ``from harmonia.information import entropy``.
+"""
 
 from .distributions import (
     HEAD,
-    MAX_JOINT_CELLS,
-    Alphabet,
-    CondIndepReport,
-    FactoredModel,
     HarmoniaError,
     JointSizeError,
-    JointTable,
     ValidationError,
-    Variable,
-    VarSet,
     ZeroProbabilityError,
     build_joint,
-    check_factorization,
     dep,
     dep_range,
 )
-from .estimation import (
-    PredictionScore,
-    SampleSet,
-    empirical_joint,
-    next_element_score,
-    plug_in_mi,
-    sample,
-)
-from .generators import (
-    ModelSpec,
-    copy_model,
-    correlated_pair_counterexample,
-    derive_seed,
-    independent_model,
-    random_model,
-)
-from .information import (
-    DEFAULT_TOLERANCE,
-    MarkovVerdict,
-    Nats,
-    chain_rule_residual,
-    conditional_mutual_information,
-    data_processing_gap,
-    entropy,
-    is_markov_chain,
-    mutual_information,
-    to_bits,
-)
-from .modelio import (
-    file_metadata,
-    load_any,
-    load_joint,
-    load_model,
-    save_joint,
-    save_model,
-)
-from .placement import (
-    LatticeReport,
-    Objective,
-    Placement,
-    PlacementSearchResult,
-    ProfileReport,
-    Relation,
-    RelationCheck,
-    StageView,
-    lattice_report,
-    optimal_head_position,
-    placement_profile,
-    remainder_predictability,
-    remainder_relation_checks,
-    stage_view,
-    verify_irrelevance,
-    verify_pending_theorem,
-    verify_remainder_theorem,
-)
-from .sweep import RunConfig, SweepResult, run_sweep, theorem_battery, write_report
-from .typology import (
-    PERCENT_TOL,
-    GroupReport,
-    TypologyReport,
-    TypologyRow,
-    load_typology,
-    typology_report,
-)
+from .estimation import sample
+from .generators import ModelSpec, copy_model, independent_model, random_model
+from .information import mutual_information
+from .placement import Placement, optimal_head_position, placement_profile
+from .sweep import theorem_battery
 
 __version__ = "0.1.0"
 
 __all__ = [
     "HEAD",
-    "MAX_JOINT_CELLS",
-    "Alphabet",
-    "CondIndepReport",
-    "DEFAULT_TOLERANCE",
-    "PERCENT_TOL",
-    "FactoredModel",
-    "GroupReport",
     "HarmoniaError",
     "JointSizeError",
-    "JointTable",
-    "LatticeReport",
-    "MarkovVerdict",
     "ModelSpec",
-    "Nats",
-    "Objective",
     "Placement",
-    "PlacementSearchResult",
-    "PredictionScore",
-    "ProfileReport",
-    "Relation",
-    "RelationCheck",
-    "RunConfig",
-    "SampleSet",
-    "StageView",
-    "SweepResult",
-    "TypologyReport",
-    "TypologyRow",
     "ValidationError",
-    "VarSet",
-    "Variable",
     "ZeroProbabilityError",
     "build_joint",
-    "chain_rule_residual",
-    "check_factorization",
-    "conditional_mutual_information",
     "copy_model",
-    "correlated_pair_counterexample",
-    "data_processing_gap",
     "dep",
     "dep_range",
-    "derive_seed",
-    "empirical_joint",
-    "entropy",
-    "file_metadata",
     "independent_model",
-    "is_markov_chain",
-    "lattice_report",
-    "load_any",
-    "load_joint",
-    "load_model",
-    "load_typology",
     "mutual_information",
-    "next_element_score",
     "optimal_head_position",
     "placement_profile",
-    "plug_in_mi",
     "random_model",
-    "remainder_predictability",
-    "remainder_relation_checks",
-    "run_sweep",
     "sample",
-    "save_joint",
-    "save_model",
-    "stage_view",
     "theorem_battery",
-    "to_bits",
-    "typology_report",
-    "verify_irrelevance",
-    "verify_pending_theorem",
-    "verify_remainder_theorem",
-    "write_report",
 ]

@@ -22,8 +22,8 @@ from .distributions import (
     FactoredModel,
     HarmoniaError,
     ValidationError,
-    VarSet,
     check_factorization,
+    dep,
     dep_range,
 )
 from .estimation import check_stage, next_element_score, sample
@@ -34,9 +34,16 @@ from .generators import (
     independent_model,
     random_model,
 )
-from .information import DEFAULT_TOLERANCE, mutual_information, to_bits
+from .information import DEFAULT_TOLERANCE, mi_of, mutual_information, to_bits
 from .modelio import load_any, load_model, save_joint, save_model
-from .placement import Objective, Placement, optimal_head_position, placement_profile
+from .placement import (
+    HEAD_MASK,
+    Objective,
+    Placement,
+    deps_mask,
+    optimal_head_position,
+    placement_profile,
+)
 from .sweep import (
     RunConfig,
     _row,
@@ -232,12 +239,11 @@ def cmd_typology(args: argparse.Namespace) -> int:
 
 
 def _print_model_summary(model: FactoredModel, bits: bool) -> None:
-    joint = model.joint
-    head = VarSet((HEAD,))
+    """I(head; dep i) and I(head; all dependents), read off the model's factors."""
     for i in range(1, model.n + 1):
-        value = mutual_information(joint, head, dep_range(i, i))
+        value = mi_of(model, HEAD_MASK, 1 << i)
         print(f"I(head; dep{i}) = {_fmt(value, bits)}", file=sys.stderr)
-    total = mutual_information(joint, head, dep_range(1, model.n))
+    total = mi_of(model, HEAD_MASK, deps_mask(1, model.n))
     print(f"I(head; all dependents) = {_fmt(total, bits)}", file=sys.stderr)
 
 
@@ -271,16 +277,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
                 "factorization_max_violation": report.max_violation,
             },
         )
-        head = VarSet((HEAD,))
-        deps = dep_range(1, 2)
         print(f"wrote {args.out} (non-factored joint)", file=sys.stderr)
-        print(
-            f"I(head; dependents) = {_fmt(mutual_information(joint, head, deps), args.bits)}",
-            file=sys.stderr,
-        )
+        total = mutual_information(joint, HEAD, dep_range(1, 2))
+        print(f"I(head; dependents) = {_fmt(total, args.bits)}", file=sys.stderr)
         print(
             "I(dep1; head+dep2) = "
-            f"{_fmt(mutual_information(joint, dep_range(1, 1), head | dep_range(2, 2)), args.bits)}",
+            f"{_fmt(mutual_information(joint, dep(1), (HEAD, dep(2))), args.bits)}",
             file=sys.stderr,
         )
         print(f"max factorization violation = {report.max_violation:.6f}", file=sys.stderr)

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Protocol
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -129,76 +129,26 @@ def parse_variable(name: str) -> Variable:
     raise ValidationError(f"unrecognised variable name {name!r}")
 
 
-class VarSet:
-    """An ordered, duplicate-free collection of variables.
-
-    Order is preserved as given (production order matters for views and CSV
-    output) but set semantics apply: membership, union and disjointness
-    are all by value.
-    """
-
-    __slots__ = ("_vars", "_members")
-
-    def __init__(self, variables: Iterable[Variable] = ()):
-        vs = tuple(variables)
-        for v in vs:
-            if not isinstance(v, Variable):
-                raise ValidationError(f"VarSet elements must be Variable, got {v!r}")
-        members = frozenset(vs)
-        if len(members) != len(vs):
-            raise ValidationError(f"duplicate variable in {[v.name for v in vs]}")
-        self._vars = vs
-        self._members = members
-
-    @staticmethod
-    def coerce(value: "VarSet" | Variable | Iterable[Variable]) -> "VarSet":
-        if isinstance(value, VarSet):
-            return value
-        if isinstance(value, Variable):
-            return VarSet((value,))
-        return VarSet(value)
-
-    def __iter__(self) -> Iterator[Variable]:
-        return iter(self._vars)
-
-    def __len__(self) -> int:
-        return len(self._vars)
-
-    def __contains__(self, v: object) -> bool:
-        return v in self._members
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VarSet):
-            return NotImplemented
-        return self._members == other._members
-
-    def __hash__(self) -> int:
-        return hash(self._members)
-
-    def __or__(self, other: "VarSet") -> "VarSet":
-        extra = tuple(v for v in VarSet.coerce(other) if v not in self._members)
-        return VarSet(self._vars + extra)
-
-    def is_disjoint(self, other: "VarSet") -> bool:
-        return self._members.isdisjoint(VarSet.coerce(other)._members)
-
-    def sorted(self) -> "VarSet":
-        """Canonical order: head first, then dependents by index."""
-        return VarSet(tuple(sorted(self._vars)))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self._vars)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "{" + ", ".join(self.names) + "}"
+def variables_of(group: Variable | Iterable[Variable]) -> tuple[Variable, ...]:
+    """A group of variables as a tuple: one ``Variable``, or an iterable of
+    distinct ones in the order given (possibly none)."""
+    try:
+        vs = (group,) if isinstance(group, Variable) else tuple(group)
+    except TypeError:
+        raise ValidationError(f"a group of variables must be iterable, got {group!r}") from None
+    for v in vs:
+        if not isinstance(v, Variable):
+            raise ValidationError(f"a group holds Variable elements, got {v!r}")
+    if len(set(vs)) != len(vs):
+        raise ValidationError(f"duplicate variable in {[v.name for v in vs]}")
+    return vs
 
 
-def dep_range(first: int, last: int) -> VarSet:
+def dep_range(first: int, last: int) -> tuple[Variable, ...]:
     """Dependents ``first..last`` inclusive; empty when ``first > last``."""
     if first < 1:
         raise ValidationError(f"dependent range must start at >= 1, got {first}")
-    return VarSet(tuple(dep(i) for i in range(first, last + 1)))
+    return tuple(dep(i) for i in range(first, last + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +358,6 @@ class JointTable:
                 f"(has {[x.name for x in self.variables]})"
             ) from None
 
-    @property
-    def varset(self) -> VarSet:
-        return VarSet(self.variables)
-
     # -- operations ----------------------------------------------------------
 
     def entropy_of(self, mask: int) -> float:
@@ -429,14 +375,14 @@ class JointTable:
             h = self._entropies[mask] = _entropy(self.probs.sum(axis=drop) if drop else self.probs)
         return h
 
-    def marginal(self, keep: VarSet | Variable | Iterable[Variable]) -> "JointTable":
+    def marginal(self, keep: Variable | Iterable[Variable]) -> "JointTable":
         """Marginal over ``keep``; axis order of the result follows ``keep``.
 
         Marginalising over everything (``keep`` equal to all variables) is a
         permutation of axes; dropping all variables is an error.
         """
-        keep = VarSet.coerce(keep)
-        if len(keep) == 0:
+        keep = variables_of(keep)
+        if not keep:
             raise ValidationError("cannot marginalise away every variable")
         axes = [self.axis_of(v) for v in keep]
         drop = tuple(i for i in range(self.probs.ndim) if i not in axes)
@@ -444,7 +390,7 @@ class JointTable:
         remaining = [i for i in range(self.probs.ndim) if i not in drop]
         perm = [remaining.index(a) for a in axes]
         return JointTable(
-            variables=tuple(keep),
+            variables=keep,
             alphabets=tuple(self.alphabets[a] for a in axes),
             probs=np.ascontiguousarray(np.transpose(summed, perm)),
         )
@@ -470,13 +416,6 @@ class JointTable:
             alphabets=tuple(a for i, a in enumerate(self.alphabets) if i != axis),
             probs=slab / mass,
         )
-
-    def prob(self, assignment: dict[Variable, int]) -> float:
-        """Probability of a full assignment (one value per variable)."""
-        if set(assignment) != set(self.variables):
-            raise ValidationError("assignment must cover exactly the table's variables")
-        idx = tuple(assignment[v] for v in self.variables)
-        return float(self.probs[idx])
 
 
 def build_joint(model: FactoredModel) -> JointTable:
@@ -539,7 +478,7 @@ def check_factorization(joint: JointTable, tol: float = 1e-9) -> CondIndepReport
     """
     if tol <= 0:
         raise ValidationError(f"tolerance must be positive, got {tol}")
-    if HEAD not in joint.varset:
+    if HEAD not in joint.variables:
         raise ValidationError("joint table has no head variable to condition on")
     deps = [v for v in joint.variables if not v.is_head]
     if len(deps) < 2:
@@ -553,7 +492,7 @@ def check_factorization(joint: JointTable, tol: float = 1e-9) -> CondIndepReport
     if violation <= tol:
         return CondIndepReport(holds=True, max_violation=violation, tolerance=tol, witness=None)
 
-    head_marg = joint.marginal(VarSet((HEAD,))).probs
+    head_marg = joint.marginal(HEAD).probs
     worst = 0.0
     witness: Witness | None = None
     for l in range(head_marg.shape[0]):
@@ -561,7 +500,7 @@ def check_factorization(joint: JointTable, tol: float = 1e-9) -> CondIndepReport
             continue
         given = joint.condition(HEAD, l)
         for a, b in combinations(deps, 2):
-            pair = given.marginal(VarSet((a, b))).probs
+            pair = given.marginal((a, b)).probs
             pa = pair.sum(axis=1, keepdims=True)
             pb = pair.sum(axis=0, keepdims=True)
             gap = np.abs(pair - pa * pb)

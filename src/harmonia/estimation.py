@@ -20,8 +20,8 @@ from .distributions import (
     JointTable,
     ValidationError,
     Variable,
-    VarSet,
     FactoredModel,
+    variables_of,
 )
 from .information import Nats, Vars, mutual_information
 from .placement import Placement
@@ -113,13 +113,14 @@ def _counts(samples: SampleSet, variables: Iterable[Variable]) -> np.ndarray:
     return np.bincount(flat_idx, minlength=int(np.prod(sizes))).reshape(sizes)
 
 
-def empirical_joint(samples: SampleSet, subset: VarSet | Iterable[Variable]) -> JointTable:
-    """The empirical frequency table over ``subset`` (a valid joint table)."""
-    subset = VarSet.coerce(subset).sorted()
-    if len(subset) == 0:
+def empirical_joint(samples: SampleSet, subset: Vars) -> JointTable:
+    """The empirical frequency table over ``subset``, axes in canonical order
+    (head first, then dependents by index)."""
+    subset = tuple(sorted(variables_of(subset)))
+    if not subset:
         raise ValidationError("need at least one variable")
     return JointTable(
-        variables=tuple(subset),
+        variables=subset,
         alphabets=tuple(samples.alphabets[samples.column_of(v)] for v in subset),
         probs=_counts(samples, subset) / samples.count,
     )
@@ -127,11 +128,10 @@ def empirical_joint(samples: SampleSet, subset: VarSet | Iterable[Variable]) -> 
 
 def plug_in_mi(samples: SampleSet, x: Vars, y: Vars) -> Nats:
     """MI of the empirical joint frequency table (no bias correction)."""
-    xs = VarSet.coerce(x)
-    ys = VarSet.coerce(y)
-    if not xs.is_disjoint(ys):
+    xs, ys = variables_of(x), variables_of(y)
+    if not set(xs).isdisjoint(ys):
         raise ValidationError("x and y must be disjoint")
-    table = empirical_joint(samples, xs | ys)
+    table = empirical_joint(samples, xs + ys)
     return mutual_information(table, xs, ys)
 
 
@@ -170,22 +170,22 @@ def next_element_score(
     """
     n = model.n
     check_stage(k, n)
-    joint = model.joint
-    seq = placement.sequence()
     if placement.n != n:
         raise ValidationError(f"placement has n={placement.n} but model has n={n}")
+    seq = placement.sequence()
+    if samples is not None and samples.variables != seq:
+        raise ValidationError("samples were drawn under a different placement")
     prefix = seq[:k]
     target = seq[k]
 
-    margin = joint.marginal(VarSet(prefix + (target,)))
+    joint = model.joint
+    margin = joint.marginal(prefix + (target,))
     exact_bayes = float(margin.probs.max(axis=-1).sum())
-    exact_mi = 0.0 if k == 0 else mutual_information(joint, VarSet(prefix), VarSet((target,)))
+    exact_mi = 0.0 if k == 0 else mutual_information(joint, prefix, target)
 
     empirical_accuracy = None
     plug_in = None
     if samples is not None:
-        if samples.variables != seq:
-            raise ValidationError("samples were drawn under a different placement")
         counts = _counts(samples, prefix + (target,))
         rule = counts.argmax(axis=-1)
         unseen = counts.sum(axis=-1) == 0
@@ -196,7 +196,7 @@ def next_element_score(
             margin.probs, rule.reshape(rule.shape + (1,)), axis=-1
         )
         empirical_accuracy = float(picked.sum())
-        plug_in = 0.0 if k == 0 else plug_in_mi(samples, VarSet(prefix), VarSet((target,)))
+        plug_in = 0.0 if k == 0 else plug_in_mi(samples, prefix, target)
 
     return PredictionScore(
         target=target,

@@ -15,11 +15,12 @@ noise.  A source is anything with a memoised ``entropy_of(mask)``: a
 
 Symmetry of mutual information is bit-exact by construction: swapping X and
 Y swaps the two leading terms, and IEEE addition commutes.  Identities that
-hold by construction prove nothing about the entropies, so
-``direct_mutual_information`` keeps an independent path, a direct summation
-over a dense joint's marginal, for the checks that compare against it.
+hold by construction prove nothing about the entropies, so ``direct_mi_of``
+keeps an independent path, a direct summation over a dense joint's marginal,
+for the checks that compare against it.
 
-The public measures take a joint table and variables and validate them; each
+The public measures take a joint table and groups of variables (each one
+``Variable`` or an iterable of distinct ones) and validate them; each
 ``*_of`` form takes trusted axis bitmasks instead, as ``entropy_of`` does,
 and every one but ``direct_mi_of`` takes any source.
 """
@@ -37,14 +38,14 @@ from .distributions import (
     JointTable,
     ValidationError,
     Variable,
-    VarSet,
+    variables_of,
 )
 
 #: Measured in nats.  Alias to keep signatures self-describing.
 Nats = float
 
 #: A group of variables, as the public measures accept it.
-Vars = VarSet | Variable | Iterable[Variable]
+Vars = Variable | Iterable[Variable]
 
 #: Shared default tolerance, in nats, for every comparison in the package.
 DEFAULT_TOLERANCE: float = 1e-9
@@ -72,15 +73,15 @@ def _masks(joint: JointTable, *groups) -> list[int]:
     masks: list[int] = []
     seen = 0
     for group in groups:
-        vs = VarSet.coerce(group)
-        if len(vs) == 0:
+        vs = variables_of(group)
+        if not vs:
             raise ValidationError("variable set must be non-empty")
         mask = 0
         for v in vs:
             mask |= 1 << joint.axis_of(v)  # raises if missing
         if mask & seen:
             raise ValidationError(
-                f"variable sets must be disjoint, {vs!r} overlaps an earlier set"
+                f"variable sets must be disjoint, {[v.name for v in vs]} overlaps an earlier set"
             )
         seen |= mask
         masks.append(mask)
@@ -93,8 +94,9 @@ def entropy(joint: JointTable, subset: Vars) -> Nats:
     return joint.entropy_of(mask)
 
 
-def direct_mutual_information(joint: JointTable, x: Vars, y: Vars) -> Nats:
-    """I(X; Y) summed directly as p log(p / (p_x p_y)) over the marginal of X and Y.
+def direct_mi_of(joint: JointTable, mx: int, my: int) -> Nats:
+    """I(X; Y) on axis bitmasks, summed directly as p log(p / (p_x p_y)) over
+    the marginal of X and Y.
 
     The reference path: it never reads the entropy table, so checks of
     identities that the table satisfies by construction (symmetry, the chain
@@ -102,11 +104,6 @@ def direct_mutual_information(joint: JointTable, x: Vars, y: Vars) -> Nats:
     for bit, because the only asymmetric step, ``p_x * p_y``, commutes in
     IEEE arithmetic.
     """
-    return direct_mi_of(joint, *_masks(joint, x, y))
-
-
-def direct_mi_of(joint: JointTable, mx: int, my: int) -> Nats:
-    """``direct_mutual_information`` on axis bitmasks."""
     keep = [i for i in range(joint.probs.ndim) if (mx | my) >> i & 1]
     drop = tuple(i for i in range(joint.probs.ndim) if i not in keep)
     p = joint.probs.sum(axis=drop) if drop else joint.probs
@@ -137,7 +134,8 @@ def conditional_mutual_information(joint: JointTable, x: Vars, y: Vars, z: Vars 
     probability zero contribute nothing to any of the four entropies, so
     structural zeros in the conditioning marginal need no special care.
     """
-    groups = (x, y, z) if len(VarSet.coerce(z)) else (x, y)
+    z = variables_of(z)
+    groups = (x, y, z) if z else (x, y)
     return mi_of(joint, *_masks(joint, *groups))
 
 

@@ -49,7 +49,6 @@ from .distributions import (
     JointTable,
     ValidationError,
     Variable,
-    VarSet,
     dep,
 )
 from .information import (
@@ -108,21 +107,16 @@ class Placement:
             deps[: self.head_position - 1] + [HEAD] + deps[self.head_position - 1 :]
         )
 
-    def element_at(self, position: int) -> Variable:
-        """The element produced at 1-based ``position``."""
-        if not 1 <= position <= self.n + 1:
-            raise ValidationError(f"position {position} outside 1..{self.n + 1}")
-        return self.sequence()[position - 1]
-
 
 @dataclass(frozen=True)
 class StageView:
-    """The split of a placement after ``k`` elements have been produced."""
+    """The split of a placement after ``k`` elements have been produced, each
+    part in production order."""
 
     placement: Placement
     k: int
-    produced: VarSet
-    pending: VarSet
+    produced: tuple[Variable, ...]
+    pending: tuple[Variable, ...]
 
 
 def stage_view(placement: Placement, k: int) -> StageView:
@@ -134,8 +128,8 @@ def stage_view(placement: Placement, k: int) -> StageView:
     return StageView(
         placement=placement,
         k=k,
-        produced=VarSet(seq[:k]),
-        pending=VarSet(seq[k:]),
+        produced=seq[:k],
+        pending=seq[k:],
     )
 
 

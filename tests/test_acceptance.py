@@ -12,31 +12,27 @@ import pytest
 
 from harmonia import (
     HEAD,
-    Objective,
+    ModelSpec,
     Placement,
-    RunConfig,
+    build_joint,
     copy_model,
-    correlated_pair_counterexample,
-    check_factorization,
     dep,
     dep_range,
     independent_model,
-    build_joint,
-    is_markov_chain,
-    load_typology,
     mutual_information,
     optimal_head_position,
-    plug_in_mi,
     random_model,
-    remainder_relation_checks,
-    run_sweep,
     sample,
-    save_joint,
     theorem_battery,
-    typology_report,
-    verify_remainder_theorem,
-    ModelSpec,
 )
+from harmonia.distributions import check_factorization
+from harmonia.estimation import plug_in_mi
+from harmonia.generators import correlated_pair_counterexample
+from harmonia.information import is_markov_chain
+from harmonia.modelio import save_joint
+from harmonia.placement import Objective, remainder_relation_checks, verify_remainder_theorem
+from harmonia.sweep import RunConfig, run_sweep
+from harmonia.typology import load_typology, typology_report
 from harmonia.cli import main
 
 LN2 = math.log(2.0)

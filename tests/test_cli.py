@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import harmonia
-from harmonia import ModelSpec, file_metadata, load_model, random_model, save_joint
+from harmonia import ModelSpec, random_model
+from harmonia.modelio import file_metadata, load_model, save_joint
 from harmonia.cli import main
 
 
@@ -71,6 +72,25 @@ def test_gen_counterexample_writes_a_joint(capsys, tmp_path):
     meta = file_metadata(path)
     assert meta["factored"] is False
     assert meta["factorization_max_violation"] == pytest.approx(math.log(2.0), abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("copy", "--n", "3", "--noise", "0.1"),
+        ("random", "--n", "3", "--head-size", "3", "--dep-size", "2"),
+        ("independent", "--n", "2"),
+    ],
+    ids=["copy", "random", "independent"],
+)
+def test_gen_summary_reads_the_model_not_its_dense_joint(capsys, tmp_path, monkeypatch, argv):
+    def refuse(model):
+        raise AssertionError("dense joint built")
+
+    monkeypatch.setattr(harmonia.distributions, "build_joint", refuse)
+    code, _, err = run(capsys, "gen", *argv, "--out", str(tmp_path / "m.json"))
+    assert code == 0
+    assert "I(head; all dependents) = " in err
 
 
 def test_gen_bits_flag(capsys, tmp_path):

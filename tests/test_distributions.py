@@ -7,21 +7,22 @@ import pytest
 
 from harmonia import (
     HEAD,
-    Alphabet,
-    FactoredModel,
     JointSizeError,
-    JointTable,
+    Placement,
     ValidationError,
-    VarSet,
     ZeroProbabilityError,
     build_joint,
-    check_factorization,
     copy_model,
-    correlated_pair_counterexample,
     dep,
     dep_range,
     independent_model,
+    mutual_information,
+    sample,
 )
+from harmonia.distributions import Alphabet, FactoredModel, JointTable, check_factorization
+from harmonia.estimation import empirical_joint, plug_in_mi
+from harmonia.generators import correlated_pair_counterexample
+from harmonia.information import conditional_mutual_information, entropy, is_markov_chain
 from harmonia import distributions
 from oracles import brute_marginal
 
@@ -38,24 +39,48 @@ def test_alphabet_label_lookup():
 
 
 def test_variable_ordering_is_head_first():
-    vs = VarSet((dep(2), HEAD, dep(1))).sorted()
-    assert vs.names == ("head", "dep1", "dep2")
+    vs = sorted((dep(2), HEAD, dep(1)))
+    assert [v.name for v in vs] == ["head", "dep1", "dep2"]
 
 
-def test_varset_rejects_duplicates():
+#: Bad groups: (x, y) for the two-group measures, and the one group that the
+#: one-group calls get.  Two overlapping groups make, together, a group that
+#: repeats a variable.
+BAD_GROUPS = {
+    "repeated": ((dep(1), dep(1)), HEAD, (dep(1), dep(1))),
+    "string-element": (("head",), dep(1), ("head",)),
+    "int-element": ((HEAD, 1), dep(1), (HEAD, 1)),
+    "not-a-group": (1, dep(1), 1),
+    "empty": ((), dep(1), ()),
+    "overlapping": ((HEAD, dep(1)), (dep(1),), (HEAD, dep(1), dep(1))),
+}
+
+GROUP_CALLS = {
+    "entropy": lambda joint, samples, x, y, one: entropy(joint, one),
+    "mutual_information": lambda joint, samples, x, y, one: mutual_information(joint, x, y),
+    "conditional_mutual_information":
+        lambda joint, samples, x, y, one: conditional_mutual_information(joint, x, y, dep(2)),
+    "is_markov_chain": lambda joint, samples, x, y, one: is_markov_chain(joint, x, dep(2), y),
+    "marginal": lambda joint, samples, x, y, one: joint.marginal(one),
+    "empirical_joint": lambda joint, samples, x, y, one: empirical_joint(samples, one),
+    "plug_in_mi": lambda joint, samples, x, y, one: plug_in_mi(samples, x, y),
+}
+
+
+@pytest.mark.parametrize("call", GROUP_CALLS)
+@pytest.mark.parametrize("case", BAD_GROUPS)
+def test_every_group_boundary_refuses_a_bad_group(case, call):
+    """A group is one Variable or distinct Variables; anything else, an empty
+    group where one is needed, or groups that overlap, is a ValidationError."""
+    model = copy_model(n=2, size=2, noise=0.1)
+    samples = sample(model, Placement.head_first(2), 50, seed=0)
     with pytest.raises(ValidationError):
-        VarSet((dep(1), dep(1)))
-
-
-def test_varset_union_preserves_left_order():
-    left = VarSet((dep(2), HEAD))
-    right = VarSet((HEAD, dep(1)))
-    assert (left | right).names == ("dep2", "head", "dep1")
+        GROUP_CALLS[call](model.joint, samples, *BAD_GROUPS[case])
 
 
 def test_dep_range_empty_and_bounds():
     assert len(dep_range(3, 2)) == 0
-    assert dep_range(2, 4).names == ("dep2", "dep3", "dep4")
+    assert tuple(v.name for v in dep_range(2, 4)) == ("dep2", "dep3", "dep4")
     with pytest.raises(ValidationError):
         dep_range(0, 2)
 
@@ -125,15 +150,15 @@ def test_joint_variable_order_is_canonical():
 
 def test_marginal_axis_order_follows_keep():
     joint = build_joint(copy_model(n=2, size=2, noise=0.1))
-    m = joint.marginal(VarSet((dep(2), HEAD)))
+    m = joint.marginal((dep(2), HEAD))
     assert tuple(v.name for v in m.variables) == ("dep2", "head")
-    swapped = joint.marginal(VarSet((HEAD, dep(2))))
+    swapped = joint.marginal((HEAD, dep(2)))
     assert np.array_equal(m.probs, swapped.probs.T)
 
 
 def test_marginal_matches_oracle():
     joint = build_joint(copy_model(n=2, size=3, noise=0.25))
-    got = joint.marginal(VarSet((HEAD, dep(2))))
+    got = joint.marginal((HEAD, dep(2)))
     want = brute_marginal(joint, [HEAD, dep(2)])
     for (l, m2), p in want.items():
         assert got.probs[l, m2] == pytest.approx(p, abs=1e-15)
@@ -141,23 +166,23 @@ def test_marginal_matches_oracle():
 
 def test_marginal_of_everything_is_identity():
     joint = build_joint(copy_model(n=2, size=2, noise=0.3))
-    again = joint.marginal(joint.varset)
+    again = joint.marginal(joint.variables)
     assert np.array_equal(again.probs, joint.probs)
 
 
 def test_marginal_is_idempotent():
     joint = build_joint(copy_model(n=3, size=2, noise=0.2))
-    once = joint.marginal(VarSet((HEAD, dep(1))))
-    twice = once.marginal(VarSet((HEAD, dep(1))))
+    once = joint.marginal((HEAD, dep(1)))
+    twice = once.marginal((HEAD, dep(1)))
     assert np.array_equal(once.probs, twice.probs)
 
 
 def test_marginal_rejects_empty_and_foreign_variables():
     joint = build_joint(independent_model(2))
     with pytest.raises(ValidationError):
-        joint.marginal(VarSet(()))
+        joint.marginal(())
     with pytest.raises(ValidationError, match="dep9"):
-        joint.marginal(VarSet((dep(9),)))
+        joint.marginal((dep(9),))
 
 
 def test_condition_renormalises():
@@ -170,7 +195,7 @@ def test_condition_renormalises():
 def test_condition_reconstructs_the_joint():
     """p(head) * p(deps | head) stitched back equals the joint."""
     joint = build_joint(copy_model(n=2, size=2, noise=0.15))
-    head_marg = joint.marginal(VarSet((HEAD,))).probs
+    head_marg = joint.marginal(HEAD).probs
     rebuilt = np.stack(
         [head_marg[l] * joint.condition(HEAD, l).probs for l in range(2)]
     )

@@ -16,19 +16,16 @@ from hypothesis import strategies as st
 
 from harmonia import (
     HEAD,
-    Alphabet,
-    FactoredModel,
-    JointTable,
     ModelSpec,
     ValidationError,
     build_joint,
-    conditional_mutual_information,
     copy_model,
     dep,
-    entropy,
     mutual_information,
     random_model,
 )
+from harmonia.distributions import Alphabet, FactoredModel, JointTable
+from harmonia.information import conditional_mutual_information, entropy
 from oracles import brute_cmi, brute_entropy, brute_mi
 
 TOL = 1e-12

@@ -9,23 +9,19 @@ import pytest
 
 from harmonia import (
     HEAD,
-    Alphabet,
-    FactoredModel,
     Placement,
-    SampleSet,
     ValidationError,
-    VarSet,
     build_joint,
     copy_model,
     dep,
-    empirical_joint,
-    entropy,
     independent_model,
     mutual_information,
-    next_element_score,
-    plug_in_mi,
     sample,
 )
+from harmonia import distributions, estimation
+from harmonia.distributions import Alphabet, FactoredModel
+from harmonia.estimation import SampleSet, empirical_joint, next_element_score, plug_in_mi
+from harmonia.information import entropy
 from oracles import brute_bayes_accuracy, brute_mi
 
 LN2 = math.log(2.0)
@@ -101,7 +97,7 @@ def test_sample_frequencies_approach_the_joint():
     model = study_model()
     joint = build_joint(model)
     samples = sample(model, Placement.head_first(2), 200_000, seed=11)
-    emp = empirical_joint(samples, joint.varset)
+    emp = empirical_joint(samples, joint.variables)
     assert float(np.abs(emp.probs - joint.probs).max()) < 0.005
 
 
@@ -157,22 +153,22 @@ def test_empirical_joint_counts():
         rows=rows,
         seed=0,
     )
-    table = empirical_joint(samples, VarSet((HEAD, dep(1))))
+    table = empirical_joint(samples, (HEAD, dep(1)))
     assert np.array_equal(table.probs, np.array([[0.5, 0.25], [0.0, 0.25]]))
 
 
 def test_empirical_joint_marginal_consistency():
     samples = sample(study_model(), Placement.head_last(2), 5_000, seed=21)
     full = empirical_joint(samples, samples.placement.sequence())
-    pair = empirical_joint(samples, VarSet((HEAD, dep(2))))
+    pair = empirical_joint(samples, (HEAD, dep(2)))
     np.testing.assert_allclose(
-        full.marginal(VarSet((HEAD, dep(2)))).probs, pair.probs, atol=1e-12
+        full.marginal((HEAD, dep(2))).probs, pair.probs, atol=1e-12
     )
 
 
 def test_plug_in_mi_matches_brute_force_on_the_empirical_table():
     samples = sample(study_model(), Placement.head_first(2), 1_000, seed=13)
-    table = empirical_joint(samples, VarSet((HEAD, dep(1))))
+    table = empirical_joint(samples, (HEAD, dep(1)))
     expected = brute_mi(table, [HEAD], [dep(1)])
     assert plug_in_mi(samples, HEAD, dep(1)) == pytest.approx(expected, abs=1e-12)
 
@@ -220,7 +216,7 @@ def test_exact_bayes_accuracy_head_last():
     assert score.target == HEAD
     assert score.exact_bayes_accuracy == pytest.approx(0.9, abs=1e-12)
     assert score.exact_mi == pytest.approx(
-        mutual_information(build_joint(study_model()), VarSet((dep(1), dep(2))), HEAD),
+        mutual_information(build_joint(study_model()), (dep(1), dep(2)), HEAD),
         abs=1e-15,
     )
     assert score.empirical_accuracy is None and score.plug_in_mi is None
@@ -275,8 +271,8 @@ def test_unseen_prefixes_fall_back_to_target_mode():
     score = next_element_score(model, placement, k=2, samples=samples)
     assert 0.0 < score.empirical_accuracy <= score.exact_bayes_accuracy
     # With one sample the empirical table is degenerate but still a distribution.
-    emp = empirical_joint(samples, VarSet((HEAD,)))
-    assert entropy(emp, VarSet((HEAD,))) == 0.0
+    emp = empirical_joint(samples, (HEAD,))
+    assert entropy(emp, (HEAD,)) == 0.0
 
 
 def test_samples_must_match_the_scored_placement():
@@ -286,9 +282,21 @@ def test_samples_must_match_the_scored_placement():
         next_element_score(model, Placement.head_last(2), k=1, samples=samples)
 
 
+def test_score_checks_its_arguments_before_building_the_joint(monkeypatch):
+    def refuse(model):
+        raise AssertionError("dense joint built")
+
+    model = study_model()  # its joint is not built yet
+    samples = sample(study_model(), Placement.head_first(2), 10, seed=0)
+    monkeypatch.setattr(distributions, "build_joint", refuse)
+    with pytest.raises(ValidationError, match="placement has n=3"):
+        next_element_score(model, Placement.head_first(3), k=1)
+    with pytest.raises(ValidationError, match="different placement"):
+        next_element_score(model, Placement.head_last(2), k=1, samples=samples)
+
+
 def test_sample_and_score_share_one_joint(monkeypatch):
     """`sample --score-k` builds the model's joint once, not once per step."""
-    from harmonia import distributions, estimation
 
     calls = []
     real = distributions.build_joint

@@ -10,16 +10,15 @@ from harmonia import (
     ModelSpec,
     ValidationError,
     build_joint,
-    check_factorization,
     copy_model,
-    correlated_pair_counterexample,
     dep,
     dep_range,
-    derive_seed,
     independent_model,
     mutual_information,
     random_model,
 )
+from harmonia.distributions import check_factorization
+from harmonia.generators import correlated_pair_counterexample, derive_seed
 
 LN2 = math.log(2.0)
 
@@ -167,8 +166,9 @@ def test_independent_model_sizes():
 
 def test_counterexample_masses():
     joint = correlated_pair_counterexample()
-    assert joint.prob({HEAD: 0, dep(1): 1, dep(2): 1}) == 0.25
-    assert joint.prob({HEAD: 0, dep(1): 0, dep(2): 1}) == 0.0
+    assert joint.variables == (HEAD, dep(1), dep(2))
+    assert float(joint.probs[0, 1, 1]) == 0.25
+    assert float(joint.probs[0, 0, 1]) == 0.0
     assert float(joint.probs.sum()) == 1.0
 
 

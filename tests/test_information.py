@@ -9,20 +9,22 @@ from harmonia import (
     HEAD,
     ModelSpec,
     ValidationError,
-    VarSet,
     build_joint,
-    chain_rule_residual,
-    conditional_mutual_information,
     copy_model,
-    correlated_pair_counterexample,
-    data_processing_gap,
     dep,
     dep_range,
-    entropy,
     independent_model,
-    is_markov_chain,
     mutual_information,
     random_model,
+)
+from harmonia.distributions import Alphabet, FactoredModel
+from harmonia.generators import correlated_pair_counterexample
+from harmonia.information import (
+    chain_rule_residual,
+    conditional_mutual_information,
+    data_processing_gap,
+    entropy,
+    is_markov_chain,
     to_bits,
 )
 from oracles import brute_cmi, brute_entropy, brute_mi
@@ -106,8 +108,8 @@ def test_mi_matches_oracle(seed):
 def test_mi_symmetry_is_bit_exact(seed):
     joint = random_joint(seed, concentration=0.5)
     groups = [
-        (VarSet((HEAD,)), dep_range(1, 3)),
-        (dep_range(1, 1), VarSet((HEAD,)) | dep_range(2, 3)),
+        ((HEAD,), dep_range(1, 3)),
+        (dep_range(1, 1), (HEAD,) + dep_range(2, 3)),
         (dep_range(1, 2), dep_range(3, 3)),
     ]
     for x, y in groups:
@@ -127,9 +129,9 @@ def test_mi_never_meaningfully_negative(seed):
 def test_mi_requires_disjoint_nonempty_sets():
     joint = build_joint(independent_model(2))
     with pytest.raises(ValidationError, match="disjoint"):
-        mutual_information(joint, VarSet((HEAD, dep(1))), dep(1))
+        mutual_information(joint, (HEAD, dep(1)), dep(1))
     with pytest.raises(ValidationError, match="non-empty"):
-        mutual_information(joint, VarSet(()), dep(1))
+        mutual_information(joint, (), dep(1))
 
 
 # -- conditional mutual information ------------------------------------------
@@ -150,6 +152,14 @@ def test_cmi_with_empty_conditioner_is_mi():
     )
 
 
+def test_cmi_reads_a_one_shot_conditioner_once():
+    """A generator is a group too; the conditioner is read once, not emptied
+    by a first look and then refused as empty."""
+    joint = build_joint(copy_model(3, 2, 0.1))
+    given = conditional_mutual_information(joint, dep(1), dep(2), (v for v in (HEAD, dep(3))))
+    assert given == conditional_mutual_information(joint, dep(1), dep(2), (HEAD, dep(3)))
+
+
 def test_cmi_counterexample_deps_share_a_bit():
     joint = correlated_pair_counterexample()
     got = conditional_mutual_information(joint, dep(1), dep(2), HEAD)
@@ -158,11 +168,9 @@ def test_cmi_counterexample_deps_share_a_bit():
 
 def test_cmi_skips_zero_probability_slices():
     """A structurally impossible head value must not poison the sum."""
-    import harmonia
-
-    model = harmonia.FactoredModel(
-        head_alphabet=harmonia.Alphabet(3),
-        dep_alphabets=(harmonia.Alphabet(2), harmonia.Alphabet(2)),
+    model = FactoredModel(
+        head_alphabet=Alphabet(3),
+        dep_alphabets=(Alphabet(2), Alphabet(2)),
         head_prior=np.array([0.5, 0.5, 0.0]),
         cond_tables=(
             np.array([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]),
@@ -194,9 +202,9 @@ def test_cmi_matches_oracle(seed):
 def test_chain_rule_residual_is_tiny(seed):
     joint = random_joint(seed, concentration=0.8)
     partitions = [
-        (dep_range(1, 1), dep_range(2, 3), VarSet((HEAD,))),
-        (VarSet((HEAD,)), dep_range(1, 1), dep_range(2, 3)),
-        (dep_range(2, 2), VarSet((HEAD,)) | dep_range(3, 3), dep_range(1, 1)),
+        (dep_range(1, 1), dep_range(2, 3), (HEAD,)),
+        ((HEAD,), dep_range(1, 1), dep_range(2, 3)),
+        (dep_range(2, 2), (HEAD,) + dep_range(3, 3), dep_range(1, 1)),
     ]
     for x1, x2, y in partitions:
         assert chain_rule_residual(joint, x1, x2, y) <= 1e-9
@@ -209,7 +217,7 @@ def test_copy_noise_zero_makes_each_dependent_sufficient():
     """An exact copy of the head screens it off from everything else."""
     joint = build_joint(copy_model(3, 2, 0.0))
     for i in (1, 2, 3):
-        others = VarSet(tuple(dep(j) for j in (1, 2, 3) if j != i))
+        others = tuple(dep(j) for j in (1, 2, 3) if j != i)
         verdict = is_markov_chain(joint, HEAD, dep(i), others)
         assert verdict.is_chain
         assert verdict.residual <= 1e-12

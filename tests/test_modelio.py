@@ -5,17 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from harmonia import (
-    ModelSpec,
-    ValidationError,
-    build_joint,
-    copy_model,
-    correlated_pair_counterexample,
+from harmonia import ModelSpec, ValidationError, build_joint, copy_model, random_model
+from harmonia.generators import correlated_pair_counterexample
+from harmonia.modelio import (
     file_metadata,
     load_any,
     load_joint,
     load_model,
-    random_model,
     save_joint,
     save_model,
 )
@@ -43,7 +39,7 @@ def test_joint_round_trip_is_bit_exact(tmp_path):
 
 
 def test_labels_survive_round_trip(tmp_path):
-    from harmonia import Alphabet, FactoredModel
+    from harmonia.distributions import Alphabet, FactoredModel
 
     model = FactoredModel(
         head_alphabet=Alphabet(2, labels=("verb", "noun")),
@@ -64,7 +60,7 @@ def test_metadata_block(tmp_path):
 
 
 def test_load_any_dispatches_on_format(tmp_path):
-    from harmonia import FactoredModel, JointTable
+    from harmonia.distributions import FactoredModel, JointTable
 
     mpath, jpath = tmp_path / "m.json", tmp_path / "j.json"
     save_model(copy_model(1, 2, 0.1), mpath)

@@ -12,37 +12,33 @@ import pytest
 
 from harmonia import (
     HEAD,
-    Alphabet,
-    FactoredModel,
-    JointTable,
     ModelSpec,
-    Objective,
     Placement,
-    RunConfig,
     ValidationError,
-    VarSet,
     build_joint,
     copy_model,
-    correlated_pair_counterexample,
     dep,
     independent_model,
     optimal_head_position,
     placement_profile,
     random_model,
-    run_sweep,
     theorem_battery,
-    write_report,
 )
+from harmonia.distributions import Alphabet, FactoredModel, JointTable
+from harmonia.generators import correlated_pair_counterexample
+from harmonia.placement import Objective, _evaluate
 import harmonia.distributions
 import harmonia.information
 import harmonia.sweep
-from harmonia.placement import _evaluate
 from harmonia.sweep import (
     CSV_HEADER,
+    RunConfig,
     battery_plan,
     checks_for_joint,
     resolve_workers,
+    run_sweep,
     sweep_tasks,
+    write_report,
     write_witnesses,
 )
 
@@ -326,8 +322,8 @@ def test_models_of_one_n_and_regime_share_one_plan(monkeypatch):
 
 
 def test_battery_builds_no_variable_sets_per_model(monkeypatch):
-    """Per model the battery only looks entropies up: no VarSet, no mask
-    validation, no search for a variable's axis."""
+    """Per model the battery only looks entropies up: no group of variables,
+    no mask validation, no search for a variable's axis."""
     first = random_model(ModelSpec(n=4, head_size=3, dep_sizes=2, seed=5))
     second = random_model(ModelSpec(n=4, head_size=2, dep_sizes=3, seed=6))
     theorem_battery(first)
@@ -336,7 +332,8 @@ def test_battery_builds_no_variable_sets_per_model(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("called on the battery path")
 
-    monkeypatch.setattr(VarSet, "__init__", refuse)
+    monkeypatch.setattr(harmonia.distributions, "variables_of", refuse)
+    monkeypatch.setattr(harmonia.information, "variables_of", refuse)
     monkeypatch.setattr(JointTable, "axis_of", refuse)
     monkeypatch.setattr(harmonia.information, "_masks", refuse)
     assert all(check.holds for _, check in theorem_battery(second))
@@ -492,7 +489,7 @@ def test_witnesses_name_the_failing_model(tmp_path):
     paths = write_witnesses(result, tmp_path)
     assert len(paths) == 1
     assert paths[0].name == f"witness-{forged.model_id}.json"
-    from harmonia import file_metadata, load_model
+    from harmonia.modelio import file_metadata, load_model
 
     meta = file_metadata(paths[0])
     assert meta["model_id"] == forged.model_id

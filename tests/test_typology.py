@@ -2,13 +2,8 @@
 
 import pytest
 
-from harmonia import (
-    PERCENT_TOL,
-    TypologyRow,
-    ValidationError,
-    load_typology,
-    typology_report,
-)
+from harmonia import ValidationError
+from harmonia.typology import PERCENT_TOL, TypologyRow, load_typology, typology_report
 
 GOOD_CSV = """\
 # a comment line
