@@ -21,6 +21,7 @@ from .distributions import (
     HEAD,
     FactoredModel,
     HarmoniaError,
+    JointSizeError,
     ValidationError,
     check_factorization,
     dep,
@@ -46,7 +47,6 @@ from .placement import (
 )
 from .sweep import (
     RunConfig,
-    _row,
     checks_for_joint,
     run_sweep,
     theorem_battery,
@@ -126,13 +126,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             pairs = theorem_battery(loaded, tol=config.tolerance, aggregate=config.aggregate)
         else:
             pairs = checks_for_joint(loaded, config.tolerance)
-        rows = [_row(model_id, theorem, check) for theorem, check in pairs]
-        failures = [r for r in rows if not r.holds]
+        failures = sum(not check.holds for _, check in pairs)
         with _open_out(config.out) as out:
-            write_report(rows, out, timestamp=config.timestamp)
+            write_report(((model_id, theorem, check) for theorem, check in pairs), out,
+                         timestamp=config.timestamp)
         print(
-            f"checked 1 input ({model_id}): {len(rows)} relations, "
-            f"{len(failures)} violation(s)",
+            f"checked 1 input ({model_id}): {len(pairs)} relations, "
+            f"{failures} violation(s)",
             file=sys.stderr,
         )
         return 0 if not failures else 1
@@ -239,12 +239,16 @@ def cmd_typology(args: argparse.Namespace) -> int:
 
 
 def _print_model_summary(model: FactoredModel, bits: bool) -> None:
-    """I(head; dep i) and I(head; all dependents), read off the model's factors."""
+    """I(head; dep i) and I(head; all dependents), read off the model's factors;
+    past the cell cap the last line names the cap instead of a value."""
     for i in range(1, model.n + 1):
         value = mi_of(model, HEAD_MASK, 1 << i)
         print(f"I(head; dep{i}) = {_fmt(value, bits)}", file=sys.stderr)
-    total = mi_of(model, HEAD_MASK, deps_mask(1, model.n))
-    print(f"I(head; all dependents) = {_fmt(total, bits)}", file=sys.stderr)
+    try:
+        total = _fmt(mi_of(model, HEAD_MASK, deps_mask(1, model.n)), bits)
+    except JointSizeError as err:
+        total = f"not computed ({err})"
+    print(f"I(head; all dependents) = {total}", file=sys.stderr)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -267,14 +271,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
         meta = {"generator": "independent", "n": args.n, "size": args.size}
     else:  # counterexample
         joint = correlated_pair_counterexample()
-        report = check_factorization(joint)
+        violation = check_factorization(joint)
         save_joint(
             joint,
             args.out,
             metadata={
                 "generator": "counterexample",
                 "factored": False,
-                "factorization_max_violation": report.max_violation,
+                "factorization_max_violation": violation,
             },
         )
         print(f"wrote {args.out} (non-factored joint)", file=sys.stderr)
@@ -285,7 +289,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             f"{_fmt(mutual_information(joint, dep(1), (HEAD, dep(2))), args.bits)}",
             file=sys.stderr,
         )
-        print(f"max factorization violation = {report.max_violation:.6f}", file=sys.stderr)
+        print(f"max factorization violation = {violation:.6f}", file=sys.stderr)
         return 0
     save_model(model, args.out, metadata=meta)
     print(f"wrote {args.out}", file=sys.stderr)

@@ -7,10 +7,12 @@ measure is arithmetic on subset entropies (``entropy_of(mask)``), and two
 objects give them exactly.  A ``FactoredModel`` builds each subset's marginal
 from the head prior and that subset's own conditional tables, which the
 relation checks, the head-position search and the profiles read.  A
-``JointTable`` sums the marginal out of a dense joint, materialised up to
-``MAX_JOINT_CELLS`` cells rather than approximated; it serves joint files,
+``JointTable`` sums the marginal out of a dense joint; it serves joint files,
 sampling and scoring, and the direct-summation path that the identity checks
-compare against.
+compare against.  Every dense product, the joint and each of the model's
+marginals, is materialised up to ``MAX_JOINT_CELLS`` cells rather than
+approximated, and refused above that before any memory is allocated.
+``check_factorization`` measures, in nats, how far a joint is from factoring.
 
 Probabilities are plain float64 numpy arrays.  Validation is strict: entries
 must be numbers in [0, 1] (NaN is rejected), rows must sum to one within a
@@ -23,8 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Protocol
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -174,9 +175,13 @@ def _entropy(p: np.ndarray) -> float:
     return -float(terms.sum())
 
 
-def _product(head_prior: np.ndarray, tables: Iterable[np.ndarray]) -> np.ndarray:
+def _product(head_prior: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
     """p(head) times each table's p(dep | head): the joint over the head and
-    those dependents, one axis each in the order given."""
+    those dependents, one axis each in the order given.  A product above
+    ``MAX_JOINT_CELLS`` cells is refused before any memory is allocated."""
+    cells = head_prior.shape[0] * math.prod(table.shape[1] for table in tables)
+    if cells > MAX_JOINT_CELLS:
+        raise JointSizeError(f"joint table would need {cells} cells, cap is {MAX_JOINT_CELLS}")
     probs = head_prior
     for i, table in enumerate(tables):
         # probs has shape (head, d1..di-1); append the axis for dependent i.
@@ -426,10 +431,6 @@ def build_joint(model: FactoredModel) -> JointTable:
     contracted over the shared head axis.  A joint above ``MAX_JOINT_CELLS``
     cells is refused before any memory is allocated.
     """
-    sizes = [model.head_alphabet.size] + [a.size for a in model.dep_alphabets]
-    cells = math.prod(sizes)
-    if cells > MAX_JOINT_CELLS:
-        raise JointSizeError(f"joint table would need {cells} cells, cap is {MAX_JOINT_CELLS}")
     probs = _product(model.head_prior, model.cond_tables)
     variables = (HEAD,) + tuple(dep(i) for i in range(1, model.n + 1))
     alphabets = (model.head_alphabet,) + model.dep_alphabets
@@ -441,72 +442,23 @@ def build_joint(model: FactoredModel) -> JointTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
-    """The pairwise cell farthest from independence given the head (a diagnostic)."""
+def check_factorization(joint: JointTable) -> float:
+    """How far the dependents are from mutual independence given the head:
+    their total correlation given the head (Watanabe 1960), in nats.
 
-    head_value: int
-    pair: tuple[Variable, Variable]
-    values: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class CondIndepReport:
-    """Result of checking that the dependents are independent given the head.
-
-    ``max_violation`` is the total correlation given the head, in nats.
+    The measure is sum_i H(dep_i | head) - H(deps | head).  It is zero
+    exactly when the joint factors as p(head) prod_i p(dep_i | head),
+    including the cases that pairwise comparisons miss, such as a third
+    dependent that is the xor of two others.  Rounding below zero is clamped
+    to 0.0, and fewer than two dependents give 0.0.
     """
-
-    holds: bool
-    max_violation: float
-    tolerance: float
-    witness: Witness | None
-
-
-def check_factorization(joint: JointTable, tol: float = 1e-9) -> CondIndepReport:
-    """Check that the dependents are mutually independent given the head.
-
-    The measure is the total correlation given the head (Watanabe 1960),
-    sum_i H(dep_i | head) - H(deps | head), in nats.  It is zero exactly when
-    the joint factors as p(head) prod_i p(dep_i | head), including the cases
-    that pairwise comparisons miss, such as a third dependent that is the xor
-    of two others.  A single dependent is vacuously independent.
-
-    When the check fails, ``witness`` names the pairwise cell with the largest
-    |p(a, b | head) - p(a | head) p(b | head)|; it stays None when no pair of
-    dependents shows a gap.
-    """
-    if tol <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
     if HEAD not in joint.variables:
         raise ValidationError("joint table has no head variable to condition on")
     deps = [v for v in joint.variables if not v.is_head]
     if len(deps) < 2:
-        return CondIndepReport(holds=True, max_violation=0.0, tolerance=tol, witness=None)
-
+        return 0.0
     head = 1 << joint.axis_of(HEAD)
     h_head = joint.entropy_of(head)
     total = sum(joint.entropy_of(head | 1 << joint.axis_of(v)) - h_head for v in deps)
     total -= joint.entropy_of((1 << len(joint.variables)) - 1) - h_head
-    violation = max(total, 0.0)
-    if violation <= tol:
-        return CondIndepReport(holds=True, max_violation=violation, tolerance=tol, witness=None)
-
-    head_marg = joint.marginal(HEAD).probs
-    worst = 0.0
-    witness: Witness | None = None
-    for l in range(head_marg.shape[0]):
-        if head_marg[l] <= 0.0:
-            continue
-        given = joint.condition(HEAD, l)
-        for a, b in combinations(deps, 2):
-            pair = given.marginal((a, b)).probs
-            pa = pair.sum(axis=1, keepdims=True)
-            pb = pair.sum(axis=0, keepdims=True)
-            gap = np.abs(pair - pa * pb)
-            g = float(gap.max())
-            if g > worst:
-                ia, ib = np.unravel_index(int(np.argmax(gap)), gap.shape)
-                worst = g
-                witness = Witness(head_value=l, pair=(a, b), values=(int(ia), int(ib)))
-    return CondIndepReport(holds=False, max_violation=violation, tolerance=tol, witness=witness)
+    return max(total, 0.0)

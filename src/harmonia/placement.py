@@ -20,7 +20,8 @@ any source over head, dep1..n.  For a model that source is the model itself,
 which reads each marginal off its factors and never builds the dense joint;
 a joint file's table is the other source, with its axes in the order the
 file loader produces.  ``verify_pending_theorem`` and the other checkers
-validate their arguments and evaluate their family's plan.
+validate their arguments and evaluate their family's plan into
+``RelationCheck`` records, the one verdict type from plan to report row.
 
 Two families of relations need different care:
 
@@ -31,8 +32,8 @@ Two families of relations need different care:
 * Relations that compare *different* dependent slots against each other.
   Those hold when the dependents share one conditional table (identical
   channels) and can fail otherwise; each docstring says which regime it
-  needs, and each such entry carries ``cross_slot=True``.  The battery plan
-  of :mod:`harmonia.sweep` leaves them out for per-slot models.
+  needs, and each such plan entry carries ``cross_slot=True``.  The battery
+  plan of :mod:`harmonia.sweep` leaves them out for per-slot models.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _label(mask: int) -> str:
     return name if first == last else f"{name}..{last}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationCheck:
     """One verified order relation between two exact information quantities.
 
@@ -181,8 +182,7 @@ class RelationCheck:
     (an identity, a bound, or a relation that is an equality outright).  When
     the two sides are within ``10 * tolerance`` of each other the chain is
     tested and the verdict stored in ``equality_diagnosis``; otherwise it is
-    None.  ``cross_slot`` marks relations that compare different dependent
-    slots and are guaranteed only under identical channels.
+    None.  A sweep keeps tens of thousands of checks, hence the slots.
     """
 
     name: str
@@ -194,12 +194,16 @@ class RelationCheck:
     slack: float
     chain: Chain | None = None
     equality_diagnosis: MarkovVerdict | None = None
-    cross_slot: bool = False
 
     @property
     def equality_condition(self) -> str:
         """The chain as text, e.g. ``head -> dep1 -> dep2..3``; empty without one."""
         return " -> ".join(_label(g) for g in self.chain) if self.chain else ""
+
+    def __reduce__(self):
+        # Pool workers pickle every check; the default frozen-slots state is ~3x slower.
+        return (RelationCheck, (self.name, self.relation, self.lhs, self.rhs, self.tolerance,
+                                self.holds, self.slack, self.chain, self.equality_diagnosis))
 
 
 def relation_check(
@@ -210,7 +214,6 @@ def relation_check(
     tol: float,
     source: EntropySource | None = None,
     chain: Chain | None = None,
-    cross_slot: bool = False,
 ) -> RelationCheck:
     """The one way to build a ``RelationCheck``.
 
@@ -238,7 +241,6 @@ def relation_check(
         slack=slack,
         chain=chain,
         equality_diagnosis=diagnosis,
-        cross_slot=cross_slot,
     )
 
 
@@ -258,7 +260,9 @@ def deps_mask(first: int, last: int) -> int:
 class PlanEntry(NamedTuple):
     """One relation of a plan.  Each side is the masks ``(x, y)`` of I(X; Y)
     or ``(x, y, z)`` of I(X; Y | Z), and ``(0, 0)`` is 0.0.  ``tol`` None is
-    the evaluation's tolerance; the other fields pass to ``relation_check``."""
+    the evaluation's tolerance.  ``cross_slot`` marks a relation that compares
+    different dependent slots, guaranteed only under identical channels; the
+    other fields pass to ``relation_check``."""
 
     theorem: str
     name: str
@@ -275,7 +279,7 @@ def _evaluate(source: EntropySource, plan: Iterable[PlanEntry], tol: float) -> l
     for the plan's ``n``; every entropy is a memoised lookup."""
     return [
         relation_check(e.name, e.relation, mi_of(source, *e.lhs), mi_of(source, *e.rhs),
-                       tol if e.tol is None else e.tol, source, e.chain, e.cross_slot)
+                       tol if e.tol is None else e.tol, source, e.chain)
         for e in plan
     ]
 
@@ -414,49 +418,29 @@ def verify_irrelevance(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeReport:
-    """Six predictability cells around stage ``k`` and the relations between them.
+def lattice_plan(n: int, k: int) -> list[PlanEntry]:
+    """The plan of ``lattice_report(model, k)`` for ``n`` dependents.
 
-    Cells (``*_k1`` means "at stage k + 1"):
+    The relations compare six predictability cells around stage ``k``
+    (``*_k1`` means "at stage k + 1"):
 
     * ``head_pred_k``:      I(dep1..k; head)
     * ``head_pred_k1``:     I(dep1..k+1; head)
     * ``dep_with_head_k``:  I(head + dep1..k-1; dep k)
     * ``dep_with_head_k1``: I(head + dep1..k; dep k+1)
     * ``dep_without_head_k``:  I(dep1..k; dep k+1)
-    * ``dep_without_head_k1``: I(dep1..k+1; dep k+2), absent when k = n - 1
+    * ``dep_without_head_k1``: I(dep1..k+1; dep k+2), read only when k + 2 <= n
     """
-
-    k: int
-    n: int
-    cells: dict[str, Nats]
-    checks: tuple[RelationCheck, ...]
-    not_applicable: tuple[int, ...]
-
-    @property
-    def holds(self) -> bool:
-        return all(c.holds for c in self.checks)
-
-
-def _lattice_cells(n: int, k: int) -> dict[str, tuple[int, int]]:
-    cells = {
-        "head_pred_k": (deps_mask(1, k), HEAD_MASK),
-        "head_pred_k1": (deps_mask(1, k + 1), HEAD_MASK),
-        "dep_with_head_k": (HEAD_MASK | deps_mask(1, k - 1), 1 << k),
-        "dep_with_head_k1": (HEAD_MASK | deps_mask(1, k), 1 << k + 1),
-        "dep_without_head_k": (deps_mask(1, k), 1 << k + 1),
-    }
-    if k + 2 <= n:
-        cells["dep_without_head_k1"] = (deps_mask(1, k + 1), 1 << k + 2)
-    return cells
-
-
-def lattice_plan(n: int, k: int) -> list[PlanEntry]:
-    """The plan of ``lattice_report(model, k)`` for ``n`` dependents."""
-    cell = _lattice_cells(n, k)
     first_k, lead, dep_k, dep_k1, dep_k2 = (
         deps_mask(1, k), deps_mask(1, k - 1), 1 << k, 1 << k + 1, 1 << k + 2)
+    cell = {
+        "head_pred_k": (first_k, HEAD_MASK),
+        "head_pred_k1": (first_k | dep_k1, HEAD_MASK),
+        "dep_with_head_k": (HEAD_MASK | lead, dep_k),
+        "dep_with_head_k1": (HEAD_MASK | first_k, dep_k1),
+        "dep_without_head_k": (first_k, dep_k1),
+        "dep_without_head_k1": (first_k | dep_k1, dep_k2),
+    }
     rows = [
         # number, title, relation, lhs cell, rhs cell, chain, cross_slot
         (1, "head-predictability-grows", Relation.LE, "head_pred_k", "head_pred_k1",
@@ -484,27 +468,21 @@ def lattice_plan(n: int, k: int) -> list[PlanEntry]:
 
 def lattice_report(
     model: FactoredModel, k: int, tol: float = DEFAULT_TOLERANCE
-) -> LatticeReport:
-    """Check the seven stage-``k`` relations between the six lattice cells.
+) -> tuple[RelationCheck, ...]:
+    """Check the seven stage-``k`` relations of ``lattice_plan``.
 
     Relations (1) head predictability grows, (2)/(3) the produced head beats
     the produced dependents at the current slot, hold on every factored
     model.  Relations (4) produced dependents do not help, (5)/(6) an early
     head helps pending dependents, and (7) pending-dependent predictability
     grows, compare different dependent slots and are guaranteed under
-    identical channels.  (6) and (7) need a slot ``k + 2`` and are marked not
-    applicable at ``k = n - 1``.
+    identical channels.  (6) and (7) need a slot ``k + 2`` and are left out
+    at ``k = n - 1``.
     """
     n = model.n
     if not 1 <= k < n:
         raise ValidationError(f"lattice stage needs 1 <= k < n, got k={k}, n={n}")
-    return LatticeReport(
-        k=k,
-        n=n,
-        cells={name: mi_of(model, *side) for name, side in _lattice_cells(n, k).items()},
-        checks=tuple(_evaluate(model, lattice_plan(n, k), tol)),
-        not_applicable=() if k + 2 <= n else (6, 7),
-    )
+    return tuple(_evaluate(model, lattice_plan(n, k), tol))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ guaranteed for the model's regime:
 axis bitmasks; ``theorem_battery`` evaluates it on the model's own subset
 entropies, read off its factors, adds the harmony rows from the same
 entropies and the identity rows, which compare them with direct summation on
-the dense joint, and sorts the rows by (theorem, relation).  With the
+the dense joint, and sorts the rows by (theorem, relation).  A report row is
+``(model_id, theorem, check)``, the check a ``RelationCheck``.  With the
 models in model_id order the report is sorted, so reruns with the same config
 are byte-identical apart from an optional timestamp comment.  A failing model
 is serialised to disk next to the report for a post-mortem.
@@ -74,19 +75,7 @@ CSV_HEADER = (
     "equality_diagnosis",
 )
 
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One relation check, flattened to the CSV schema."""
-
-    model_id: str
-    theorem: str
-    relation: str
-    lhs_nats: float
-    rhs_nats: float
-    slack: float
-    holds: bool
-    equality_diagnosis: str
+ReportRow = tuple[str, str, RelationCheck]  # (model_id, theorem, check)
 
 
 @dataclass(frozen=True)
@@ -136,13 +125,15 @@ class RunConfig:
             raise ValidationError(f"sweep size must be >= 1, got {self.sweep_size}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ValidationError(f"n values must all be >= 1, got {self.n_values}")
         for name in lists:
-            # A repeated value would give two different models one model_id.
+            # An empty axis checks no model; a repeated value gives two models one model_id.
             values = getattr(self, name)
+            if not values:
+                raise ValidationError(f"{name} must not be empty")
             if len(set(values)) != len(values):
                 raise ValidationError(f"{name} must not repeat a value, got {values}")
+        if any(n < 1 for n in self.n_values):
+            raise ValidationError(f"n values must all be >= 1, got {self.n_values}")
         if any(s < 1 for s in self.head_sizes + self.dep_sizes):
             raise ValidationError("alphabet sizes must all be >= 1")
         if self.aggregate not in ("min", "mean"):
@@ -175,29 +166,6 @@ def resolve_workers(requested: int | None) -> int:
 # ---------------------------------------------------------------------------
 # Per-model battery
 # ---------------------------------------------------------------------------
-
-
-def _diag_text(check: RelationCheck) -> str:
-    if check.equality_diagnosis is None:
-        return ""
-    d = check.equality_diagnosis
-    return (
-        f"{check.equality_condition} [residual={d.residual:.6e} "
-        f"chain={'yes' if d.is_chain else 'no'}]"
-    )
-
-
-def _row(model_id: str, theorem: str, check: RelationCheck) -> SweepRow:
-    return SweepRow(
-        model_id=model_id,
-        theorem=theorem,
-        relation=check.name,
-        lhs_nats=check.lhs,
-        rhs_nats=check.rhs,
-        slack=check.slack,
-        holds=check.holds,
-        equality_diagnosis=_diag_text(check),
-    )
 
 
 def _names(first: int, last: int) -> str:
@@ -297,14 +265,10 @@ def checks_for_joint(joint: JointTable, tol: float = DEFAULT_TOLERANCE) -> list[
     relations are evaluated as stated.  On a non-factored joint the remainder
     relations may genuinely fail; that is the point.
     """
-    report = check_factorization(joint, tol=max(tol, 1e-12))
-    rows: list[tuple[str, RelationCheck]] = [
-        ("factorization", relation_check(
-            "dependents independent given head", Relation.EQ,
-            report.max_violation, 0.0, report.tolerance,
-        ))
-    ]
-    return rows + [("remainder", check) for check in remainder_relation_checks(joint, tol)]
+    factorization = relation_check("dependents independent given head", Relation.EQ,
+                                   check_factorization(joint), 0.0, max(tol, 1e-12))
+    return [("factorization", factorization)] + [
+        ("remainder", check) for check in remainder_relation_checks(joint, tol)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +307,10 @@ def sweep_tasks(config: RunConfig) -> list[SweepTask]:
     return tasks
 
 
-def _battery_rows(task: SweepTask, tol: float, aggregate: str) -> list[SweepRow]:
+def _battery_rows(task: SweepTask, tol: float, aggregate: str) -> list[ReportRow]:
     model = random_model(task.spec)
     return [
-        _row(task.model_id, theorem, check)
+        (task.model_id, theorem, check)
         for theorem, check in theorem_battery(model, tol=tol, aggregate=aggregate)
     ]
 
@@ -354,13 +318,13 @@ def _battery_rows(task: SweepTask, tol: float, aggregate: str) -> list[SweepRow]
 @dataclass
 class SweepResult:
     config: RunConfig
-    rows: list[SweepRow]
+    rows: list[ReportRow]
     elapsed_seconds: float
     model_count: int
 
     @property
-    def failures(self) -> list[SweepRow]:
-        return [r for r in self.rows if not r.holds]
+    def failures(self) -> list[ReportRow]:
+        return [row for row in self.rows if not row[2].holds]
 
     @property
     def holds(self) -> bool:
@@ -390,8 +354,18 @@ def run_sweep(config: RunConfig) -> SweepResult:
     )
 
 
+def _diag_text(check: RelationCheck) -> str:
+    if check.equality_diagnosis is None:
+        return ""
+    d = check.equality_diagnosis
+    return (
+        f"{check.equality_condition} [residual={d.residual:.6e} "
+        f"chain={'yes' if d.is_chain else 'no'}]"
+    )
+
+
 def write_report(
-    rows: Iterable[SweepRow], out: IO[str], timestamp: bool = True
+    rows: Iterable[ReportRow], out: IO[str], timestamp: bool = True
 ) -> None:
     """Write the report CSV through one writer, rows in the order given.
 
@@ -402,19 +376,11 @@ def write_report(
         out.write(f"# generated-at: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            (
-                r.model_id,
-                r.theorem,
-                r.relation,
-                repr(r.lhs_nats),
-                repr(r.rhs_nats),
-                repr(r.slack),
-                "true" if r.holds else "false",
-                r.equality_diagnosis,
-            )
-        )
+    writer.writerows(
+        (model_id, theorem, c.name, repr(c.lhs), repr(c.rhs), repr(c.slack),
+         "true" if c.holds else "false", _diag_text(c))
+        for model_id, theorem, c in rows
+    )
 
 
 def write_witnesses(result: SweepResult, directory: str | Path) -> list[Path]:
@@ -425,7 +391,7 @@ def write_witnesses(result: SweepResult, directory: str | Path) -> list[Path]:
     written: list[Path] = []
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for model_id in sorted({r.model_id for r in result.failures}):
+    for model_id in sorted({failed for failed, _, _ in result.failures}):
         spec = by_id[model_id]
         path = directory / f"witness-{model_id}.json"
         save_model(
@@ -436,7 +402,7 @@ def write_witnesses(result: SweepResult, directory: str | Path) -> list[Path]:
                 "seed": spec.seed,
                 "identical_channels": spec.identical_channels,
                 "failing_relations": sorted(
-                    r.relation for r in result.failures if r.model_id == model_id
+                    check.name for failed, _, check in result.failures if failed == model_id
                 ),
             },
         )

@@ -112,7 +112,7 @@ def test_criterion_2_equalities_come_with_markov_chains(capsys):
 def test_criterion_3_counterexample_reverses_the_relation(capsys, tmp_path):
     """Dropping the factorisation flips the head-first advantage, and the CLI says no."""
     joint = correlated_pair_counterexample()
-    report = check_factorization(joint)
+    violation = check_factorization(joint)
     first, last = remainder_relation_checks(joint)
 
     path = tmp_path / "counterexample.json"
@@ -121,8 +121,7 @@ def test_criterion_3_counterexample_reverses_the_relation(capsys, tmp_path):
     capsys.readouterr()  # swallow the CLI's own stderr summary
 
     ok = (
-        not report.holds
-        and abs(report.max_violation - LN2) <= 1e-12
+        abs(violation - LN2) <= 1e-12
         and abs(first.lhs - 0.0) <= 1e-15
         and abs(first.rhs - LN2) <= 1e-15
         and not first.holds
@@ -131,7 +130,7 @@ def test_criterion_3_counterexample_reverses_the_relation(capsys, tmp_path):
     )
     assert verdict(
         capsys, 3, ok,
-        f"factorisation violated by {report.max_violation:.3f} nats, "
+        f"factorisation violated by {violation:.3f} nats, "
         f"I(head; deps)={first.lhs:.3f} < I(dep1; head+dep2)={first.rhs:.3f}, "
         f"verify exit code {exit_code}",
         "exact values at 1e-12/1e-15 nats; CLI must exit 1",
@@ -142,10 +141,10 @@ def test_criterion_4_harmony_argmax_contracts(capsys, full_sweep):
     """Head-last maximises head predictability, head-first dependent predictability."""
     problems = []
 
-    harmony = [r for r in full_sweep.rows if r.theorem == "harmony"]
+    harmony = [check for _, theorem, check in full_sweep.rows if theorem == "harmony"]
     if len(harmony) < 2 * full_sweep.model_count:
         problems.append("missing harmony rows in the sweep")
-    if any(not r.holds for r in harmony):
+    if any(not check.holds for check in harmony):
         problems.append("a harmony row failed in the sweep")
 
     for seed in (1, 2, 3):
@@ -185,10 +184,10 @@ def test_criterion_4_harmony_argmax_contracts(capsys, full_sweep):
 def test_criterion_5_monotone_growth_and_irrelevance(capsys, full_sweep):
     """More produced dependents never hurt the head; produced deps never help pending ones."""
     growth = [
-        r for r in full_sweep.rows
-        if r.theorem == "lattice" and "(1) head-predictability-grows" in r.relation
+        check for _, theorem, check in full_sweep.rows
+        if theorem == "lattice" and "(1) head-predictability-grows" in check.name
     ]
-    irrelevance = [r for r in full_sweep.rows if r.theorem == "irrelevance"]
+    irrelevance = [check for _, theorem, check in full_sweep.rows if theorem == "irrelevance"]
     ok = (
         len(growth) >= 2000
         and len(irrelevance) >= 3000
@@ -277,14 +276,15 @@ def test_criterion_7_plug_in_mi_converges(capsys):
 def test_criterion_8_exact_identities_hold_everywhere(capsys, full_sweep):
     """Symmetry is bit-exact; chain rule and conditional independence are numeric zeros."""
     symmetry = [
-        r for r in full_sweep.rows
-        if r.theorem == "identity" and r.relation.startswith("symmetry")
+        check for _, theorem, check in full_sweep.rows
+        if theorem == "identity" and check.name.startswith("symmetry")
     ]
     chain = [
-        r for r in full_sweep.rows
-        if r.theorem == "identity" and r.relation.startswith("chain-rule")
+        check for _, theorem, check in full_sweep.rows
+        if theorem == "identity" and check.name.startswith("chain-rule")
     ]
-    indep = [r for r in full_sweep.rows if r.theorem == "given-head-independence"]
+    indep = [check for _, theorem, check in full_sweep.rows
+             if theorem == "given-head-independence"]
 
     ok = (
         len(symmetry) >= 2000

@@ -14,7 +14,7 @@ import pytest
 
 import harmonia
 from harmonia import ModelSpec, random_model
-from harmonia.modelio import file_metadata, load_model, save_joint
+from harmonia.modelio import file_metadata, load_model, save_joint, save_model
 from harmonia.cli import main
 
 
@@ -91,6 +91,40 @@ def test_gen_summary_reads_the_model_not_its_dense_joint(capsys, tmp_path, monke
     code, _, err = run(capsys, "gen", *argv, "--out", str(tmp_path / "m.json"))
     assert code == 0
     assert "I(head; all dependents) = " in err
+
+
+def test_gen_writes_a_model_past_the_cell_cap(capsys, tmp_path, monkeypatch):
+    """gen writes the file and the per-dependent lines; the all-dependents
+    line, whose marginal is past the cap, names the cap instead of a value."""
+    monkeypatch.setattr(harmonia.distributions, "MAX_JOINT_CELLS", 100)
+    path = tmp_path / "m.json"
+    code, _, err = run(capsys, "gen", "random", "--n", "4", "--head-size", "3",
+                       "--dep-size", "3", "--out", str(path))
+    assert code == 0
+    assert load_model(path).n == 4
+    lines = err.splitlines()
+    assert lines[0] == f"wrote {path}"
+    assert [line.split(" = ")[0] for line in lines[1:5]] == [f"I(head; dep{i})" for i in range(1, 5)]
+    assert lines[5:] == [
+        "I(head; all dependents) = not computed "
+        "(joint table would need 243 cells, cap is 100)"
+    ]
+
+
+@pytest.mark.parametrize("argv", [["profile"], ["verify", "--no-timestamp", "--input"]],
+                         ids=["profile", "verify"])
+def test_model_marginals_past_the_cell_cap_exit_2(capsys, tmp_path, monkeypatch, argv):
+    """The first product past the cap refuses, before any output and before
+    the dense joint is built."""
+    path = tmp_path / "m.json"
+    save_model(random_model(ModelSpec(n=4, head_size=3, dep_sizes=3, seed=1)), path)
+    monkeypatch.setattr(harmonia.distributions, "MAX_JOINT_CELLS", 100)
+    monkeypatch.setattr(harmonia.distributions, "build_joint",
+                        lambda model: pytest.fail("dense joint built"))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: joint table would need 243 cells, cap is 100\n"
 
 
 def test_gen_bits_flag(capsys, tmp_path):
@@ -280,6 +314,7 @@ def test_verify_input_rejects_nan_probabilities(capsys, tmp_path, document):
         ("config", {"n_values": [2, 2]}),
         ("config", {"head_sizes": [2, 3, 2]}),
         ("config", {"dep_sizes": [5, 5]}),
+        ("config", {"head_sizes": []}),
         ("model", _copy_model_json(head_prior="ab")),
         ("model", _copy_model_json(cond_tables=[[[0.9, 0.1], [1.0]]])),
         ("model", _copy_model_json(head_alphabet={"size": "two"})),
@@ -287,13 +322,16 @@ def test_verify_input_rejects_nan_probabilities(capsys, tmp_path, document):
         ("gen", None),
         ("profile", "-1"),
         ("profile", "nan"),
-        ("verify", "inf"),
+        ("verify", ["--tol", "inf"]),
+        ("verify", ["--head-sizes", ""]),
+        ("verify", ["--dep-sizes", ","]),
     ],
     ids=["sweep-size-text", "n-values-scalar", "tolerance-text", "seed-float",
          "workers-float", "timestamp-text", "n-values-repeated", "head-sizes-repeated",
-         "dep-sizes-repeated", "head-prior-text", "ragged-table", "size-text",
+         "dep-sizes-repeated", "head-sizes-empty", "head-prior-text", "ragged-table", "size-text",
          "dep-alphabets-scalar", "gen-negative-seed", "profile-tol-negative",
-         "profile-tol-nan", "verify-tol-inf"],
+         "profile-tol-nan", "verify-tol-inf", "verify-head-sizes-empty",
+         "verify-dep-sizes-empty"],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, kind, content):
     """A broken input is a usage error (exit 2), never a traceback or exit 1."""
@@ -304,7 +342,7 @@ def test_malformed_input_exits_2(capsys, tmp_path, kind, content):
         path.write_text(json.dumps(_copy_model_json()))
         argv = ["profile", str(path), "--tol", content]
     elif kind == "verify":
-        argv = ["verify", "--models", "1", "--n", "1", "--tol", content, "--no-timestamp"]
+        argv = ["verify", "--models", "1", "--n", "1", *content, "--no-timestamp"]
     else:
         path.write_text(json.dumps(content))
         flag = "--config" if kind == "config" else "--input"

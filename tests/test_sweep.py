@@ -4,6 +4,7 @@ import gc
 import io
 import math
 import os
+import pickle
 import re
 import weakref
 
@@ -163,13 +164,13 @@ def test_battery_includes_cross_slot_relations_for_shared_channels():
 
 
 def test_cross_slot_marks_exactly_the_slot_comparing_relations():
-    """The field set where a check is built agrees with the relations' names."""
-    for _, check in theorem_battery(copy_model(4, 2, 0.1)):
-        name = check.name
+    """The field set where a plan entry is built agrees with the relations' names."""
+    for entry in battery_plan(4, True):
+        name = entry.name
         slot_comparing = any(f"({num})" in name for num in (4, 5, 6, 7))
         if "part1" in name:
             slot_comparing = name.split("k=")[1].split(" ")[0] != name.split("j=")[1]
-        assert check.cross_slot == slot_comparing, name
+        assert entry.cross_slot == slot_comparing, name
 
 
 def test_battery_n1_has_the_symmetry_harmony_check():
@@ -194,7 +195,7 @@ def _deps(first, last):
 
 
 def _lattice_cells(n, k, mi):
-    """The cells of ``LatticeReport``'s docstring."""
+    """The cells of ``lattice_plan``'s docstring."""
     head = [HEAD]
     cells = {
         "head_pred_k": mi(_deps(1, k), head),
@@ -209,7 +210,7 @@ def _lattice_cells(n, k, mi):
 
 
 #: Lattice relation number -> (lhs cell, rhs cell), read from the docstrings of
-#: ``lattice_report`` and ``LatticeReport``.
+#: ``lattice_report`` and ``lattice_plan``.
 LATTICE_SIDES = {
     1: ("head_pred_k", "head_pred_k1"),
     2: ("dep_with_head_k", "head_pred_k"),
@@ -416,7 +417,7 @@ def test_small_sweep_has_zero_failures():
 
 def test_sweep_rows_are_sorted():
     rows = run_sweep(SMALL).rows
-    keys = [(r.model_id, r.theorem, r.relation) for r in rows]
+    keys = [(model_id, theorem, check.name) for model_id, theorem, check in rows]
     assert keys == sorted(keys)
 
 
@@ -459,6 +460,13 @@ def test_parallel_sweep_matches_serial():
     assert sa.getvalue() == pa.getvalue()
 
 
+def test_checks_round_trip_through_pickle():
+    """Pool workers send every check to the parent; each field must survive."""
+    checks = [check for _, check in theorem_battery(copy_model(3, 2, 0.0))]
+    assert any(check.equality_diagnosis is not None for check in checks)
+    assert pickle.loads(pickle.dumps(checks)) == checks
+
+
 def test_float_fields_round_trip_through_repr():
     result = run_sweep(RunConfig(sweep_size=2, n_values=(2,), head_sizes=(3,), dep_sizes=(2,)))
     out = io.StringIO()
@@ -467,10 +475,10 @@ def test_float_fields_round_trip_through_repr():
     import csv as csv_mod
 
     parsed = list(csv_mod.reader(lines))
-    for row, original in zip(parsed, result.rows):
-        assert float(row[3]) == original.lhs_nats
-        assert float(row[4]) == original.rhs_nats
-        assert float(row[5]) == original.slack
+    for row, (_, _, check) in zip(parsed, result.rows):
+        assert float(row[3]) == check.lhs
+        assert float(row[4]) == check.rhs
+        assert float(row[5]) == check.slack
 
 
 def test_witnesses_written_only_for_failures(tmp_path):
@@ -484,14 +492,15 @@ def test_witnesses_name_the_failing_model(tmp_path):
 
     result = run_sweep(RunConfig(sweep_size=2, n_values=(2,), head_sizes=(2,), dep_sizes=(2,)))
     # Forge one failing row to exercise the writer without a real failure.
-    forged = replace(result.rows[0], holds=False)
-    result.rows[0] = forged
+    model_id, theorem, check = result.rows[0]
+    forged = replace(check, holds=False)
+    result.rows[0] = (model_id, theorem, forged)
     paths = write_witnesses(result, tmp_path)
     assert len(paths) == 1
-    assert paths[0].name == f"witness-{forged.model_id}.json"
+    assert paths[0].name == f"witness-{model_id}.json"
     from harmonia.modelio import file_metadata, load_model
 
     meta = file_metadata(paths[0])
-    assert meta["model_id"] == forged.model_id
-    assert forged.relation in meta["failing_relations"]
+    assert meta["model_id"] == model_id
+    assert forged.name in meta["failing_relations"]
     load_model(paths[0])  # the witness is a valid model file

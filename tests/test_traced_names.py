@@ -7,6 +7,7 @@ reads the tracer's tables without installing it.
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,20 @@ def test_traced_function_exists(module_name, name):
 def test_traced_method_exists(module_name, cls_name, name):
     cls = getattr(importlib.import_module(module_name), cls_name)
     assert callable(cls.__dict__.get(name))
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, size in tracing._SIZES.items() if size.out_arg is not None]
+)
+def test_size_hook_names_the_traced_parameter(name):
+    """A size hook reads its output file at a fixed argument position; the
+    traced function or method must have the named parameter there, or the
+    measured size silently reads 0."""
+    traced = [getattr(importlib.import_module(m), name)
+              for m, _layer, names in tracing.FUNCTIONS if name in names]
+    traced += [getattr(importlib.import_module(m), c).__dict__[name]
+               for m, c, _layer, names in tracing.METHODS if name in names]
+    assert traced, name
+    param, index = tracing._SIZES[name].out_arg
+    for fn in traced:
+        assert list(inspect.signature(fn).parameters)[index] == param, fn
