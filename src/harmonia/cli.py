@@ -165,29 +165,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    objective = Objective(args.objective)
     order = args.order or ()
     result = optimal_head_position(
         model,
-        objective,
+        args.objective,
         k=args.k,
         dependent_order=order,
         aggregate=args.aggregate,
         tol=args.tol,
     )
+    # Every position's rows before any output, so that a refused marginal writes nothing.
+    profiles = [placement_profile(model, Placement(model.n, pos, order))
+                for pos in range(1, model.n + 2)]
     with _open_out(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("head_position", "k", "measure", "target", "nats"))
-        for pos in range(1, model.n + 2):
-            placement = Placement(n=model.n, head_position=pos, dependent_order=order)
-            for row in placement_profile(model, placement).rows:
+        for pos, rows in enumerate(profiles, start=1):
+            for row in rows:
                 writer.writerow((pos, row.k, "remainder", "", repr(row.remainder)))
                 for variable, value in row.pending_elements:
                     writer.writerow((pos, row.k, "element", variable.name, repr(value)))
     best = ", ".join(str(p) for p in result.best_positions)
     score = max(result.scores)
     print(
-        f"objective {objective.value}: best head position(s) {best} "
+        f"objective {args.objective}: best head position(s) {best} "
         f"at {_fmt(score, args.bits)}",
         file=sys.stderr,
     )
@@ -203,20 +204,20 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_typology(args: argparse.Namespace) -> int:
     rows = load_typology(args.data)
-    report = typology_report(rows)
+    groups = typology_report(rows)
     with _open_out(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
             ("source", "unit", "order_position", "frequency", "percentage",
              "recomputed_percentage", "consistent")
         )
-        for group in report.groups:
+        for group in groups:
             for row, recomputed, ok in zip(group.rows, group.recomputed, group.consistent):
                 writer.writerow(
                     (row.source, row.unit, row.order_position, row.frequency,
                      row.percentage, f"{recomputed:.4f}", "true" if ok else "false")
                 )
-    for group in report.groups:
+    for group in groups:
         trend = "increasing" if group.counts_monotonic else "NOT increasing"
         print(
             f"{group.source}/{group.unit}: total {group.total}, "

@@ -2,9 +2,10 @@
 
 Samples are i.i.d. draws from the model's exact joint table (the one
 ``FactoredModel.joint`` caches, which scoring shares), so estimator behaviour
-can be studied against ground truth with no simulation gap.  The plug-in MI
-estimator is deliberately uncorrected (it is biased upward for finite
-samples); the point is to quantify that bias, not hide it.
+can be studied against ground truth with no simulation gap; a sample set's
+columns are its placement's sequence.  The plug-in MI estimator is
+deliberately uncorrected (it is biased upward for finite samples); the point
+is to quantify that bias, not hide it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .distributions import (
     FactoredModel,
     variables_of,
 )
-from .information import Nats, Vars, mutual_information
+from .information import Nats, Vars, mi_of, mutual_information
 from .placement import Placement
 
 
@@ -32,15 +33,12 @@ class SampleSet:
     """I.i.d. draws from a model's joint, columns in production order."""
 
     placement: Placement
-    variables: tuple[Variable, ...]
     alphabets: tuple[Alphabet, ...]
     rows: np.ndarray
     seed: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rows", np.asarray(self.rows, dtype=np.int64))
-        if self.variables != self.placement.sequence():
-            raise ValidationError("sample columns must follow the placement's order")
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.variables):
             raise ValidationError(
                 f"rows have shape {self.rows.shape}, expected "
@@ -56,6 +54,11 @@ class SampleSet:
                     f"0..{alpha.size - 1}"
                 )
         self.rows.setflags(write=False)
+
+    @property
+    def variables(self) -> tuple[Variable, ...]:
+        """The sampled variables, one per column: the placement's sequence."""
+        return self.placement.sequence()
 
     @property
     def count(self) -> int:
@@ -94,11 +97,9 @@ def sample(
     rng = np.random.default_rng(seed)
     drawn = rng.choice(flat.size, size=count, p=flat)
     canon_cols = np.column_stack(np.unravel_index(drawn, joint.probs.shape))
-    seq = placement.sequence()
-    order = [joint.axis_of(v) for v in seq]
+    order = [joint.axis_of(v) for v in placement.sequence()]
     return SampleSet(
         placement=placement,
-        variables=seq,
         alphabets=tuple(joint.alphabets[a] for a in order),
         rows=canon_cols[:, order],
         seed=seed,
@@ -143,10 +144,9 @@ def check_stage(k: int, n: int) -> None:
 
 @dataclass(frozen=True)
 class PredictionScore:
-    """Exact and sample-based quality of predicting the next element at stage ``k``."""
+    """Exact and sample-based quality of predicting the next element, ``target``."""
 
     target: Variable
-    k: int
     exact_bayes_accuracy: float
     empirical_accuracy: float | None
     exact_mi: Nats
@@ -167,6 +167,8 @@ def next_element_score(
     the exact accuracy.  With ``samples``, the same decision rule is fit on
     empirical counts and evaluated against the exact distribution (prefixes
     never seen in the samples fall back to the target's empirical mode).
+    Both MIs read one table over the first ``k + 1`` elements: the exact
+    margin, and the samples counted once.  The empty prefix gives exactly 0.0.
     """
     n = model.n
     check_stage(k, n)
@@ -175,18 +177,15 @@ def next_element_score(
     seq = placement.sequence()
     if samples is not None and samples.variables != seq:
         raise ValidationError("samples were drawn under a different placement")
-    prefix = seq[:k]
-    target = seq[k]
+    prefix, target = (1 << k) - 1, 1 << k  # axis masks on the production-order margin
 
-    joint = model.joint
-    margin = joint.marginal(prefix + (target,))
+    margin = model.joint.marginal(seq[: k + 1])
     exact_bayes = float(margin.probs.max(axis=-1).sum())
-    exact_mi = 0.0 if k == 0 else mutual_information(joint, prefix, target)
 
     empirical_accuracy = None
     plug_in = None
     if samples is not None:
-        counts = _counts(samples, prefix + (target,))
+        counts = _counts(samples, seq[: k + 1])
         rule = counts.argmax(axis=-1)
         unseen = counts.sum(axis=-1) == 0
         if np.any(unseen):
@@ -196,13 +195,13 @@ def next_element_score(
             margin.probs, rule.reshape(rule.shape + (1,)), axis=-1
         )
         empirical_accuracy = float(picked.sum())
-        plug_in = 0.0 if k == 0 else plug_in_mi(samples, prefix, target)
+        empirical = JointTable(margin.variables, margin.alphabets, counts / samples.count)
+        plug_in = mi_of(empirical, prefix, target)
 
     return PredictionScore(
-        target=target,
-        k=k,
+        target=seq[k],
         exact_bayes_accuracy=exact_bayes,
         empirical_accuracy=empirical_accuracy,
-        exact_mi=exact_mi,
+        exact_mi=mi_of(margin, prefix, target),
         plug_in_mi=plug_in,
     )

@@ -114,9 +114,19 @@ def direct_mi_of(joint: JointTable, mx: int, my: int) -> Nats:
     # px and py go first, and a table without zero cells is summed in place,
     # so that the reference path holds two arrays of the marginal's size.
     terms = px * py
+    logs = None
+    if not terms.all():
+        # Where p > 0 but px * py underflowed to 0, p / (px py) would be inf:
+        # those cells take log p - (log px + log py), which commutes like the product.
+        under = np.nonzero((terms == 0.0) & mask)
+        logs = np.log(p[under]) - (np.log(np.broadcast_to(px, p.shape)[under])
+                                   + np.log(np.broadcast_to(py, p.shape)[under]))
+        terms[under] = 1.0
     del px, py
     np.divide(p, terms, out=terms, where=mask)
     np.log(terms, out=terms, where=mask)
+    if logs is not None:
+        terms[under] = logs
     terms *= p
     return _clamp(float((terms if mask.all() else terms[mask]).sum()))
 

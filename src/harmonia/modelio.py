@@ -1,6 +1,7 @@
 """JSON persistence for factored models and raw joint tables.
 
-Two single-object formats, both versioned:
+Two single-object formats, both versioned, each with a free-form ``metadata``
+object that the loaders ignore (read it as the file's JSON ``metadata`` field):
 
 * ``harmonia-model``: head prior plus per-dependent conditional tables.
 * ``harmonia-joint``: a dense table over named variables, for distributions
@@ -191,10 +192,3 @@ def load_any(path: str | Path) -> FactoredModel | JointTable:
     raise ValidationError(
         f"{path}: format field is {fmt!r}, expected {MODEL_FORMAT!r} or {JOINT_FORMAT!r}"
     )
-
-
-def file_metadata(path: str | Path) -> dict[str, Any]:
-    """The free-form metadata block of either file kind."""
-    obj = _load_json(path)
-    meta = obj.get("metadata", {})
-    return meta if isinstance(meta, dict) else {}

@@ -21,7 +21,9 @@ which reads each marginal off its factors and never builds the dense joint;
 a joint file's table is the other source, with its axes in the order the
 file loader produces.  ``verify_pending_theorem`` and the other checkers
 validate their arguments and evaluate their family's plan into
-``RelationCheck`` records, the one verdict type from plan to report row.
+``RelationCheck`` records, the one verdict type from plan to report row; a
+check's slack and verdict derive from its sides.  ``placement_profile`` gives
+one ``StageRow`` per stage, ``optimal_head_position`` the scores and best ones.
 
 Two families of relations need different care:
 
@@ -177,12 +179,14 @@ class RelationCheck:
 
     ``slack`` measures how comfortably the relation holds (negative means
     violated): ``rhs - lhs`` for LE, ``lhs - rhs`` for GE and ``-|lhs - rhs|``
-    for EQ.  ``chain`` is the Markov chain, as axis bitmasks, whose truth
-    makes the two sides equal, or None when the relation has none to diagnose
-    (an identity, a bound, or a relation that is an equality outright).  When
-    the two sides are within ``10 * tolerance`` of each other the chain is
-    tested and the verdict stored in ``equality_diagnosis``; otherwise it is
-    None.  A sweep keeps tens of thousands of checks, hence the slots.
+    for EQ; the relation ``holds`` when ``slack >= -tolerance``.  Both are
+    derived from the sides, so a check cannot contradict itself.  ``chain`` is
+    the Markov chain, as axis bitmasks, whose truth makes the two sides equal,
+    or None when the relation has none to diagnose (an identity, a bound, or a
+    relation that is an equality outright).  When the two sides are within
+    ``10 * tolerance`` of each other the chain is tested and the verdict
+    stored in ``equality_diagnosis``; otherwise it is None.  A sweep keeps
+    tens of thousands of checks, hence the slots.
     """
 
     name: str
@@ -190,10 +194,20 @@ class RelationCheck:
     lhs: Nats
     rhs: Nats
     tolerance: float
-    holds: bool
-    slack: float
     chain: Chain | None = None
     equality_diagnosis: MarkovVerdict | None = None
+
+    @property
+    def slack(self) -> float:
+        if self.relation is Relation.LE:
+            return self.rhs - self.lhs
+        if self.relation is Relation.GE:
+            return self.lhs - self.rhs
+        return -abs(self.lhs - self.rhs)
+
+    @property
+    def holds(self) -> bool:
+        return self.slack >= -self.tolerance
 
     @property
     def equality_condition(self) -> str:
@@ -203,7 +217,7 @@ class RelationCheck:
     def __reduce__(self):
         # Pool workers pickle every check; the default frozen-slots state is ~3x slower.
         return (RelationCheck, (self.name, self.relation, self.lhs, self.rhs, self.tolerance,
-                                self.holds, self.slack, self.chain, self.equality_diagnosis))
+                                self.chain, self.equality_diagnosis))
 
 
 def relation_check(
@@ -222,26 +236,10 @@ def relation_check(
     ``chain`` is diagnosed on ``source``'s entropies when the two sides are
     within ``10 * tol``.
     """
-    if relation is Relation.LE:
-        slack = rhs - lhs
-    elif relation is Relation.GE:
-        slack = lhs - rhs
-    else:
-        slack = -abs(lhs - rhs)
     diagnosis = None
     if chain is not None and abs(lhs - rhs) <= 10.0 * tol:
         diagnosis = markov_of(source, *chain, tol)
-    return RelationCheck(
-        name=name,
-        relation=relation,
-        lhs=lhs,
-        rhs=rhs,
-        tolerance=tol,
-        holds=slack >= -tol,
-        slack=slack,
-        chain=chain,
-        equality_diagnosis=diagnosis,
-    )
+    return RelationCheck(name, relation, lhs, rhs, tol, chain, diagnosis)
 
 
 # ---------------------------------------------------------------------------
@@ -492,23 +490,14 @@ def lattice_report(
 
 @dataclass(frozen=True)
 class StageRow:
-    """Predictability figures after ``k`` produced elements."""
+    """Predictability figures after the first ``k`` elements of a placement."""
 
     k: int
-    produced: tuple[Variable, ...]
     remainder: Nats
     pending_elements: tuple[tuple[Variable, Nats], ...]
 
 
-@dataclass(frozen=True)
-class ProfileReport:
-    """Stage-by-stage predictability for one placement (rows k = 0..n)."""
-
-    placement: Placement
-    rows: tuple[StageRow, ...]
-
-
-def placement_profile(source: EntropySource, placement: Placement) -> ProfileReport:
+def placement_profile(source: EntropySource, placement: Placement) -> tuple[StageRow, ...]:
     """Remainder and per-pending-element predictability at every stage, on a
     factored model or a joint over head, dep1..n.
 
@@ -526,13 +515,12 @@ def placement_profile(source: EntropySource, placement: Placement) -> ProfileRep
         rows.append(
             StageRow(
                 k=k,
-                produced=seq[:k],
                 remainder=mi_of(source, produced, everything & ~produced),
                 pending_elements=tuple((v, mi_of(source, produced, 1 << v.index)) for v in seq[k:]),
             )
         )
         produced |= 1 << seq[k].index
-    return ProfileReport(placement=placement, rows=tuple(rows))
+    return tuple(rows)
 
 
 class Objective(enum.Enum):
@@ -550,9 +538,6 @@ class PlacementSearchResult:
     Per-stage detail for a position comes from ``placement_profile``.
     """
 
-    objective: Objective
-    k: int | None
-    aggregate: str
     scores: tuple[Nats, ...]
     best_positions: tuple[int, ...]
 
@@ -588,12 +573,10 @@ def optimal_head_position(
             raise ValidationError("REMAINDER_AT_K needs a stage k")
         if not 1 <= k <= n:
             raise ValidationError(f"stage k={k} outside 1..{n}")
-    else:
-        k = None
+    order = [1 << i for i in Placement(n, 1, dependent_order).dependent_order]
     scores: list[Nats] = []
     for position in range(1, n + 2):
-        placement = Placement(n=n, head_position=position, dependent_order=dependent_order)
-        seq = [1 << v.index for v in placement.sequence()]
+        seq = order[: position - 1] + [HEAD_MASK] + order[position - 1 :]
         if objective is Objective.HEAD_PREDICTABILITY:
             pairs = [(sum(seq[: position - 1]), HEAD_MASK)]
         elif objective is Objective.DEPENDENT_PREDICTABILITY:
@@ -605,9 +588,6 @@ def optimal_head_position(
         scores.append(min(values) if aggregate == "min" else sum(values) / len(values))
     best = max(scores)
     return PlacementSearchResult(
-        objective=objective,
-        k=k,
-        aggregate=aggregate,
         scores=tuple(scores),
         best_positions=tuple(p for p, s in enumerate(scores, start=1) if best - s <= tol),
     )

@@ -6,7 +6,8 @@ object, verb) in the world's languages, per source and per counting unit.
 Percentages are kept exactly as printed by the sources; the report recomputes
 them from the counts and flags rows where the two disagree by more than 0.05
 percentage points (the sources' own rounding granularity), because two of the
-printed figures do not match their own counts.
+printed figures do not match their own counts.  ``typology_report`` returns
+one ``GroupReport`` per (source, unit) group.
 """
 
 from __future__ import annotations
@@ -63,15 +64,6 @@ class GroupReport:
     recomputed: tuple[float, ...]
     consistent: tuple[bool, ...]
     counts_monotonic: bool
-
-
-@dataclass(frozen=True)
-class TypologyReport:
-    groups: tuple[GroupReport, ...]
-
-    @property
-    def all_counts_monotonic(self) -> bool:
-        return all(g.counts_monotonic for g in self.groups)
 
 
 def bundled_dataset_text() -> str:
@@ -135,8 +127,9 @@ def load_typology(path: str | Path | None = None) -> tuple[TypologyRow, ...]:
     return tuple(rows)
 
 
-def typology_report(rows: Iterable[TypologyRow]) -> TypologyReport:
-    """Group rows, recompute percentages from counts, and flag mismatches."""
+def typology_report(rows: Iterable[TypologyRow]) -> tuple[GroupReport, ...]:
+    """Group rows, recompute percentages from counts, and flag mismatches;
+    one report per (source, unit) group, in order of first appearance."""
     by_group: dict[tuple[str, str], list[TypologyRow]] = {}
     for row in rows:
         by_group.setdefault((row.source, row.unit), []).append(row)
@@ -163,4 +156,4 @@ def typology_report(rows: Iterable[TypologyRow]) -> TypologyReport:
                 counts_monotonic=all(a <= b for a, b in zip(counts, counts[1:])),
             )
         )
-    return TypologyReport(groups=tuple(groups))
+    return tuple(groups)

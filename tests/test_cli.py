@@ -14,7 +14,7 @@ import pytest
 
 import harmonia
 from harmonia import ModelSpec, random_model
-from harmonia.modelio import file_metadata, load_model, save_joint, save_model
+from harmonia.modelio import load_model, save_joint, save_model
 from harmonia.cli import main
 
 
@@ -22,6 +22,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def metadata(path):
+    return json.loads(Path(path).read_text())["metadata"]
 
 
 def gen_copy(capsys, tmp_path, name="copy.json", n=2, noise=0.1):
@@ -45,7 +49,7 @@ def test_gen_copy_writes_a_loadable_model(capsys, tmp_path):
     assert "I(head; all dependents)" in err
     model = load_model(path)
     assert model.n == 2
-    assert file_metadata(path) == {"generator": "copy", "n": 2, "size": 2, "noise": 0.1}
+    assert metadata(path) == {"generator": "copy", "n": 2, "size": 2, "noise": 0.1}
 
 
 def test_gen_random_records_its_spec(capsys, tmp_path):
@@ -55,7 +59,7 @@ def test_gen_random_records_its_spec(capsys, tmp_path):
         "--seed", "17", "--identical-channels", "--out", str(path),
     )
     assert code == 0
-    meta = file_metadata(path)
+    meta = metadata(path)
     assert meta["seed"] == 17
     assert meta["identical_channels"] is True
     assert load_model(path).has_identical_channels
@@ -69,7 +73,7 @@ def test_gen_counterexample_writes_a_joint(capsys, tmp_path):
     assert "I(head; dependents) = 0.000000 nats" in err
     assert "I(dep1; head+dep2) = 0.693147 nats" in err
     assert "max factorization violation = 0.693147" in err
-    meta = file_metadata(path)
+    meta = metadata(path)
     assert meta["factored"] is False
     assert meta["factorization_max_violation"] == pytest.approx(math.log(2.0), abs=1e-15)
 
@@ -127,6 +131,20 @@ def test_model_marginals_past_the_cell_cap_exit_2(capsys, tmp_path, monkeypatch,
     assert err == "error: joint table would need 243 cells, cap is 100\n"
 
 
+def test_profile_past_the_cell_cap_writes_nothing(capsys, tmp_path, monkeypatch):
+    """Every position's rows are computed before --out is opened: the
+    dependent objective refuses no marginal, the profile does."""
+    path, out_path = tmp_path / "m.json", tmp_path / "f.csv"
+    save_model(random_model(ModelSpec(n=4, head_size=3, dep_sizes=3, seed=1)), path)
+    monkeypatch.setattr(harmonia.distributions, "MAX_JOINT_CELLS", 100)
+    code, out, err = run(capsys, "profile", str(path), "--objective", "dependent",
+                         "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert not out_path.exists()
+    assert err.startswith("error: joint table would need")
+
+
 def test_gen_bits_flag(capsys, tmp_path):
     path = tmp_path / "m.json"
     _, _, err = run(
@@ -136,6 +154,19 @@ def test_gen_bits_flag(capsys, tmp_path):
 
 
 # -- verify ---------------------------------------------------------------------------
+
+
+def test_spiky_sweep_with_underflowing_products_passes(capsys, tmp_path):
+    """At concentration 0.02 one model's direct MI meets px * py = 0 with p > 0;
+    the reference path stays finite, so the sweep passes and writes no witness."""
+    report = tmp_path / "report.csv"
+    code, _, err = run(
+        capsys, "verify", "--no-timestamp", "--concentration", "0.02", "--aggregate", "mean",
+        "--models", "10", "--out", str(report),
+    )
+    assert code == 0, err
+    assert err.startswith("OK: 270 models, 9900 relation checks, 0 failures")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.csv"]
 
 
 def test_verify_small_sweep_passes(capsys, tmp_path):

@@ -75,18 +75,17 @@ def test_sample_validation():
 
 def test_sample_set_rejects_mismatched_columns():
     good = sample(study_model(), Placement.head_first(2), 10, seed=0)
-    with pytest.raises(ValidationError):
+    # The columns are the placement's sequence, so rows must have one per element.
+    with pytest.raises(ValidationError, match="expected"):
         SampleSet(
             placement=good.placement,
-            variables=good.variables[::-1],
             alphabets=good.alphabets,
-            rows=good.rows,
+            rows=good.rows[:, :2],
             seed=0,
         )
     with pytest.raises(ValidationError, match="outside"):
         SampleSet(
             placement=good.placement,
-            variables=good.variables,
             alphabets=good.alphabets,
             rows=np.full((4, 3), 5),
             seed=0,
@@ -148,7 +147,6 @@ def test_empirical_joint_counts():
     base = sample(study_model(), Placement.head_first(2), 4, seed=0)
     samples = SampleSet(
         placement=base.placement,
-        variables=base.variables,
         alphabets=base.alphabets,
         rows=rows,
         seed=0,

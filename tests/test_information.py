@@ -17,12 +17,13 @@ from harmonia import (
     mutual_information,
     random_model,
 )
-from harmonia.distributions import Alphabet, FactoredModel
+from harmonia.distributions import Alphabet, FactoredModel, JointTable
 from harmonia.generators import correlated_pair_counterexample
 from harmonia.information import (
     chain_rule_residual,
     conditional_mutual_information,
     data_processing_gap,
+    direct_mi_of,
     entropy,
     is_markov_chain,
     to_bits,
@@ -114,6 +115,19 @@ def test_mi_symmetry_is_bit_exact(seed):
     ]
     for x, y in groups:
         assert mutual_information(joint, x, y) == mutual_information(joint, y, x)
+
+
+def test_direct_mi_survives_an_underflowing_product():
+    """Cells of mass near 1e-200 give px * py = 0 while p > 0; the direct sum
+    stays finite, bit-symmetric and on its closed form -(a + b) log(a + b)."""
+    a, b = 1e-200, 1e-201
+    probs = np.zeros((2, 3))
+    probs[0, 0], probs[0, 1], probs[1, 2] = a, b, 1.0 - a - b
+    joint = JointTable((HEAD, dep(1)), (Alphabet(2), Alphabet(3)), probs)
+    forward, backward = direct_mi_of(joint, 0b01, 0b10), direct_mi_of(joint, 0b10, 0b01)
+    assert math.isfinite(forward)
+    assert forward == backward
+    assert forward == pytest.approx(-(a + b) * math.log(a + b), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -8,7 +8,6 @@ import pytest
 from harmonia import ModelSpec, ValidationError, build_joint, copy_model, random_model
 from harmonia.generators import correlated_pair_counterexample
 from harmonia.modelio import (
-    file_metadata,
     load_any,
     load_joint,
     load_model,
@@ -55,7 +54,7 @@ def test_labels_survive_round_trip(tmp_path):
 def test_metadata_block(tmp_path):
     path = tmp_path / "meta.json"
     save_model(copy_model(1, 2, 0.0), path, metadata={"generator": "copy", "noise": 0.0})
-    meta = file_metadata(path)
+    meta = json.loads(path.read_text())["metadata"]
     assert meta == {"generator": "copy", "noise": 0.0}
 
 

@@ -1,6 +1,7 @@
 """Placements, stage views, remainder/pending relations, lattice, head search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from harmonia.placement import (
     Objective,
     Relation,
     lattice_report,
+    relation_check,
     remainder_predictability,
     remainder_relation_checks,
     stage_view,
@@ -122,6 +124,38 @@ def test_remainder_predictability_rejects_boundary_stages():
         remainder_predictability(joint, stage_view(Placement.head_first(2), 0))
     with pytest.raises(ValidationError):
         remainder_predictability(joint, stage_view(Placement.head_first(2), 3))
+
+
+# -- relation checks -------------------------------------------------------------
+
+TINY = 2.0 ** -40  # ~9.1e-13: exact differences at 0.5, inside the 1e-9 tolerance
+
+
+@pytest.mark.parametrize(
+    "relation, lhs, rhs, tol, slack, holds",
+    [
+        (Relation.LE, 0.25, 0.5, 1e-9, 0.25, True),
+        (Relation.LE, 0.5, 0.25, 1e-9, -0.25, False),
+        (Relation.LE, 0.5 + TINY, 0.5, 1e-9, -TINY, True),
+        (Relation.GE, 0.5, 0.25, 1e-9, 0.25, True),
+        (Relation.GE, 0.25, 0.5, 1e-9, -0.25, False),
+        (Relation.GE, 0.5, 0.5 + TINY, 1e-9, -TINY, True),
+        (Relation.EQ, 0.5, 0.25, 1e-9, -0.25, False),
+        (Relation.EQ, 0.25, 0.5, 1e-9, -0.25, False),
+        (Relation.EQ, 0.5, 0.5 + TINY, 1e-9, -TINY, True),
+        (Relation.EQ, 0.5, 0.5 + TINY, 0.0, -TINY, False),
+        (Relation.EQ, 0.5, 0.5, 0.0, 0.0, True),
+    ],
+)
+def test_slack_and_holds_follow_the_sides(relation, lhs, rhs, tol, slack, holds):
+    check = relation_check("c", relation, lhs, rhs, tol)
+    assert check.slack == slack
+    assert check.holds is holds
+    # Derived, not stored: moving a side moves the verdict with it.
+    assert replace(check, rhs=lhs).holds
+    assert replace(check, rhs=lhs).slack == 0.0
+    assert not replace(check, lhs=lhs - 1.0 if relation is Relation.GE else lhs + 1.0,
+                       rhs=lhs).holds
 
 
 # -- remainder relations ---------------------------------------------------------
@@ -364,18 +398,18 @@ def test_lattice_equalities_at_zero_noise():
 
 def test_profile_row_zero_is_all_zero():
     model = copy_model(2, 2, 0.1)
-    profile = placement_profile(build_joint(model), Placement.head_first(2))
-    row0 = profile.rows[0]
+    rows = placement_profile(build_joint(model), Placement.head_first(2))
+    row0 = rows[0]
     assert row0.remainder == 0.0
     assert all(v == 0.0 for _, v in row0.pending_elements)
-    assert len(profile.rows) == 3  # k = 0, 1, 2; no row at k = n + 1
+    assert len(rows) == 3  # k = 0, 1, 2; no row at k = n + 1
 
 
 def test_profile_remainder_matches_direct_mi():
     model = copy_model(2, 2, 0.1)
     joint = build_joint(model)
-    profile = placement_profile(joint, Placement.head_first(2))
-    assert profile.rows[1].remainder == mutual_information(joint, HEAD, dep_range(1, 2))
+    rows = placement_profile(joint, Placement.head_first(2))
+    assert rows[1].remainder == mutual_information(joint, HEAD, dep_range(1, 2))
 
 
 def test_optimal_head_position_copy_model():
@@ -390,8 +424,9 @@ def test_optimal_head_position_copy_model():
 
 
 def test_optimal_head_position_objective_from_string():
-    res = optimal_head_position(copy_model(2, 2, 0.1), "head")
-    assert res.objective is Objective.HEAD_PREDICTABILITY
+    model = copy_model(2, 2, 0.1)
+    res = optimal_head_position(model, "head")
+    assert res == optimal_head_position(model, Objective.HEAD_PREDICTABILITY)
 
 
 def test_optimal_head_position_ties_on_independent_model():

@@ -2,6 +2,7 @@
 
 import gc
 import io
+import json
 import math
 import os
 import pickle
@@ -27,7 +28,7 @@ from harmonia import (
 )
 from harmonia.distributions import Alphabet, FactoredModel, JointTable
 from harmonia.generators import correlated_pair_counterexample
-from harmonia.placement import Objective, _evaluate
+from harmonia.placement import Objective, Relation, _evaluate
 import harmonia.distributions
 import harmonia.information
 import harmonia.sweep
@@ -491,16 +492,17 @@ def test_witnesses_name_the_failing_model(tmp_path):
     from dataclasses import replace
 
     result = run_sweep(RunConfig(sweep_size=2, n_values=(2,), head_sizes=(2,), dep_sizes=(2,)))
-    # Forge one failing row to exercise the writer without a real failure.
+    # Forge one failing row through a side to exercise the writer without a real failure.
     model_id, theorem, check = result.rows[0]
-    forged = replace(check, holds=False)
+    forged = replace(check, lhs=check.rhs + (-1.0 if check.relation is Relation.GE else 1.0))
+    assert not forged.holds
     result.rows[0] = (model_id, theorem, forged)
     paths = write_witnesses(result, tmp_path)
     assert len(paths) == 1
     assert paths[0].name == f"witness-{model_id}.json"
-    from harmonia.modelio import file_metadata, load_model
+    from harmonia.modelio import load_model
 
-    meta = file_metadata(paths[0])
+    meta = json.loads(paths[0].read_text())["metadata"]
     assert meta["model_id"] == model_id
     assert forged.name in meta["failing_relations"]
     load_model(paths[0])  # the witness is a valid model file

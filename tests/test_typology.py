@@ -32,8 +32,7 @@ def test_bundled_dataset_loads():
 
 
 def test_bundled_report_totals_and_flags():
-    report = typology_report(load_typology())
-    by_key = {(g.source, g.unit): g for g in report.groups}
+    by_key = {(g.source, g.unit): g for g in typology_report(load_typology())}
 
     wals = by_key[("wals", "languages")]
     assert wals.total == 1056
@@ -52,8 +51,7 @@ def test_bundled_report_totals_and_flags():
 
 
 def test_bundled_recomputed_percentages():
-    report = typology_report(load_typology())
-    by_key = {(g.source, g.unit): g for g in report.groups}
+    by_key = {(g.source, g.unit): g for g in typology_report(load_typology())}
     assert [round(x, 1) for x in by_key[("wals", "languages")].recomputed] == [10.5, 42.0, 47.4]
     assert [round(x, 1) for x in by_key[("hammarstrom", "languages")].recomputed] == [13.2, 42.1, 44.7]
     assert [round(x, 1) for x in by_key[("hammarstrom", "families")].recomputed] == [12.4, 17.1, 70.6]
@@ -61,9 +59,9 @@ def test_bundled_recomputed_percentages():
 
 def test_verb_final_dominates_everywhere():
     """In every group the verb-final count is the largest and verb-initial the smallest."""
-    report = typology_report(load_typology())
-    assert report.all_counts_monotonic
-    for group in report.groups:
+    groups = typology_report(load_typology())
+    assert all(g.counts_monotonic for g in groups)
+    for group in groups:
         counts = [r.frequency for r in group.rows]
         assert counts[0] < counts[1] < counts[2]
 
@@ -75,18 +73,18 @@ def test_load_from_path_skips_comments_and_blanks(tmp_path):
 
 
 def test_custom_data_is_consistent_when_exact(tmp_path):
-    report = typology_report(load_typology(write(tmp_path, GOOD_CSV)))
-    assert report.groups[0].consistent == (True, True, True)
-    assert report.groups[0].recomputed == (10.0, 40.0, 50.0)
+    (group,) = typology_report(load_typology(write(tmp_path, GOOD_CSV)))
+    assert group.consistent == (True, True, True)
+    assert group.recomputed == (10.0, 40.0, 50.0)
 
 
 def test_consistency_uses_the_documented_tolerance(tmp_path):
     text = GOOD_CSV.replace("demo,languages,1,10,10.0", "demo,languages,1,10,10.04")
-    report = typology_report(load_typology(write(tmp_path, text)))
-    assert report.groups[0].consistent[0]  # inside PERCENT_TOL
+    (group,) = typology_report(load_typology(write(tmp_path, text)))
+    assert group.consistent[0]  # inside PERCENT_TOL
     text = GOOD_CSV.replace("demo,languages,1,10,10.0", "demo,languages,1,10,10.06")
-    report = typology_report(load_typology(write(tmp_path, text, "t2.csv")))
-    assert not report.groups[0].consistent[0]
+    (group,) = typology_report(load_typology(write(tmp_path, text, "t2.csv")))
+    assert not group.consistent[0]
     assert PERCENT_TOL == 0.05
 
 
