@@ -14,7 +14,7 @@ import contextlib
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .distributions import (
@@ -98,22 +98,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             config = RunConfig.from_dict(loaded)
         except ValidationError as err:
             raise ValidationError(f"{args.config}: {err}") from None
-    overrides = {
-        "tolerance": args.tol,
-        "sweep_size": args.models,
-        "n_values": args.n,
-        "head_sizes": args.head_sizes,
-        "dep_sizes": args.dep_sizes,
-        "concentration": args.concentration,
-        "seed": args.seed,
-        "aggregate": args.aggregate,
-        "out": args.out,
-        "workers": args.workers,
-    }
-    overrides = {key: value for key, value in overrides.items() if value is not None}
-    if args.no_timestamp:
-        overrides["timestamp"] = False
-    return replace(config, **overrides)
+    flags = {f.name: value for f in fields(RunConfig)
+             if (value := getattr(args, f.name)) is not None}
+    return replace(config, **flags)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -145,13 +132,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         written = write_witnesses(result, directory)
         print(
             f"FAIL: {len(result.failures)} of {len(result.rows)} relation checks "
-            f"failed across {result.model_count} models; witnesses: "
+            f"failed across {config.model_count} models; witnesses: "
             + ", ".join(str(p) for p in written),
             file=sys.stderr,
         )
         return 1
     print(
-        f"OK: {result.model_count} models, {len(result.rows)} relation checks, "
+        f"OK: {config.model_count} models, {len(result.rows)} relation checks, "
         f"0 failures in {result.elapsed_seconds:.1f}s",
         file=sys.stderr,
     )
@@ -342,17 +329,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the randomised relation checks")
     p_verify.add_argument("--config", help="JSON file with RunConfig fields")
-    p_verify.add_argument("--models", type=int, default=None,
+    # Each setting's destination is the RunConfig field it sets.
+    p_verify.add_argument("--models", dest="sweep_size", type=int,
                           help="models per (n, head size, dep size) cell")
-    p_verify.add_argument("--n", type=_int_list, default=None, help="comma-separated n values")
+    p_verify.add_argument("--n", dest="n_values", type=_int_list, help="comma-separated n values")
     p_verify.add_argument("--head-sizes", type=_int_list, default=None)
     p_verify.add_argument("--dep-sizes", type=_int_list, default=None)
     p_verify.add_argument("--concentration", type=float, default=None)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=None, help="tolerance in nats")
+    p_verify.add_argument("--tol", dest="tolerance", type=float, help="tolerance in nats")
     p_verify.add_argument("--aggregate", choices=("min", "mean"), default=None)
     p_verify.add_argument("--out", default=None, help="report CSV path (default stdout)")
-    p_verify.add_argument("--no-timestamp", action="store_true")
+    p_verify.add_argument("--no-timestamp", dest="timestamp", action="store_false", default=None)
     p_verify.add_argument("--workers", type=int, default=None,
                           help="parallel workers (default 1, capped by the CPU count)")
     p_verify.add_argument("--input", default=None,
@@ -422,10 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HarmoniaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (HarmoniaError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,8 @@ approximated, and refused above that before any memory is allocated.
 Probabilities are plain float64 numpy arrays.  Validation is strict: entries
 must be numbers in [0, 1] (NaN is rejected), rows must sum to one within a
 small tolerance, and conditioning on an impossible event raises instead of
-silently renormalising garbage.
+silently renormalising garbage.  Each of a model's tables is checked whole,
+and an error names its first bad row.
 """
 
 from __future__ import annotations
@@ -234,14 +235,8 @@ class FactoredModel:
             raise ValidationError("a model needs at least one dependent")
         _check_distribution(self.head_prior, (self.head_alphabet.size,), "head prior")
         for i, (table, alpha) in enumerate(zip(self.cond_tables, self.dep_alphabets), 1):
-            expected = (self.head_alphabet.size, alpha.size)
-            if table.shape != expected:
-                raise ValidationError(
-                    f"conditional table for dep{i} has shape {table.shape}, "
-                    f"expected {expected}"
-                )
-            for row_i, row in enumerate(table):
-                _check_distribution(row, (alpha.size,), f"conditional table for dep{i}, row {row_i}")
+            _check_distribution(table, (self.head_alphabet.size, alpha.size),
+                                f"conditional table for dep{i}")
         self.head_prior.setflags(write=False)
         for t in self.cond_tables:
             t.setflags(write=False)
@@ -293,15 +288,22 @@ class FactoredModel:
 
 
 def _check_distribution(p: np.ndarray, shape: tuple[int, ...], what: str) -> None:
+    """Refuse ``p`` unless it has ``shape`` and each row on its last axis is a distribution."""
     if p.shape != shape:
         raise ValidationError(f"{what} has shape {p.shape}, expected {shape}")
-    valid = (p >= 0.0) & (p <= 1.0)  # False for NaN
-    if not np.all(valid):
-        bad = int(np.argmin(valid))
-        raise ValidationError(f"{what}: entry {bad} is {float(p.flat[bad])!r}, outside [0, 1]")
-    total = float(p.sum())
-    if not abs(total - 1.0) <= PROB_SUM_TOL:
-        raise ValidationError(f"{what} sums to {total!r}, expected 1 within {PROB_SUM_TOL}")
+    rows = p.reshape(-1, shape[-1])
+    valid = (rows >= 0.0) & (rows <= 1.0)  # False for NaN
+    totals = rows.sum(axis=1)
+    good = valid.all(axis=1) & (np.abs(totals - 1.0) <= PROB_SUM_TOL)
+    if not good.all():
+        r = int(np.argmin(good))
+        where = f"{what}, row {r}" if p.ndim > 1 else what
+        if not valid[r].all():
+            bad = int(np.argmin(valid[r]))
+            raise ValidationError(
+                f"{where}: entry {bad} is {float(rows[r, bad])!r}, outside [0, 1]")
+        raise ValidationError(
+            f"{where} sums to {float(totals[r])!r}, expected 1 within {PROB_SUM_TOL}")
 
 
 # ---------------------------------------------------------------------------

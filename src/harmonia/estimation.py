@@ -46,6 +46,9 @@ class SampleSet:
             )
         if self.rows.shape[0] < 1:
             raise ValidationError("a sample set needs at least one row")
+        if len(self.alphabets) != len(self.variables):
+            raise ValidationError(
+                f"{len(self.alphabets)} alphabets for {len(self.variables)} columns")
         for col, alpha in enumerate(self.alphabets):
             column = self.rows[:, col]
             if column.min() < 0 or column.max() >= alpha.size:

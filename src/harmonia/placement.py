@@ -165,6 +165,8 @@ class Relation(enum.Enum):
 #: one dependent or a contiguous range of dependents.
 Chain = tuple[int, int, int]
 
+_LE, _GE = Relation.LE, Relation.GE  # read by RelationCheck.slack without a class lookup
+
 
 def _label(mask: int) -> str:
     """Display name of a chain group: ``head``, ``dep3`` or ``dep1..4``."""
@@ -199,9 +201,9 @@ class RelationCheck:
 
     @property
     def slack(self) -> float:
-        if self.relation is Relation.LE:
+        if self.relation is _LE:
             return self.rhs - self.lhs
-        if self.relation is Relation.GE:
+        if self.relation is _GE:
             return self.lhs - self.rhs
         return -abs(self.lhs - self.rhs)
 
@@ -557,7 +559,7 @@ def optimal_head_position(
     * ``DEPENDENT_PREDICTABILITY``: at stage 1, the aggregated (min or mean)
       information the first element carries about each pending dependent.
       Position 1 always attains the maximum.
-    * ``REMAINDER_AT_K``: I(produced; pending) at stage ``k`` (requires ``k``).
+    * ``REMAINDER_AT_K``: I(produced; pending) at stage ``k``, the one objective that takes ``k``.
 
     Exact ties (within ``tol``, a finite number >= 0) are all returned, never
     broken arbitrarily.
@@ -573,6 +575,8 @@ def optimal_head_position(
             raise ValidationError("REMAINDER_AT_K needs a stage k")
         if not 1 <= k <= n:
             raise ValidationError(f"stage k={k} outside 1..{n}")
+    elif k is not None:
+        raise ValidationError(f"a stage k is for the remainder objective only, got k={k}")
     order = [1 << i for i in Placement(n, 1, dependent_order).dependent_order]
     scores: list[Nats] = []
     for position in range(1, n + 2):

@@ -18,19 +18,21 @@ entropies and the identity rows, which compare them with direct summation on
 the dense joint, and sorts the rows by (theorem, relation).  A report row is
 ``(model_id, theorem, check)``, the check a ``RelationCheck``.  With the
 models in model_id order the report is sorted, so reruns with the same config
-are byte-identical apart from an optional timestamp comment.  A failing model
-is serialised to disk next to the report for a post-mortem.
+are byte-identical apart from an optional timestamp comment.  A ``RunConfig``
+checks each grid cell through its ``ModelSpec``.  A failing model, found in one
+pass over the rows, is serialised next to the report for a post-mortem.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import operator
 import os
 import time
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, cached_property
 from multiprocessing import get_context
 from pathlib import Path
 from typing import IO, Iterable
@@ -117,14 +119,11 @@ class RunConfig:
             raise ValidationError(f"out must be a path string, got {self.out!r}")
         if not isinstance(self.timestamp, bool):
             raise ValidationError(f"timestamp must be true or false, got {self.timestamp!r}")
-        for name in ("tolerance", "concentration"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be a positive finite number, got {value}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValidationError(
+                f"tolerance must be a positive finite number, got {self.tolerance}")
         if self.sweep_size < 1:
             raise ValidationError(f"sweep size must be >= 1, got {self.sweep_size}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         for name in lists:
             # An empty axis checks no model; a repeated value gives two models one model_id.
             values = getattr(self, name)
@@ -132,14 +131,14 @@ class RunConfig:
                 raise ValidationError(f"{name} must not be empty")
             if len(set(values)) != len(values):
                 raise ValidationError(f"{name} must not repeat a value, got {values}")
-        if any(n < 1 for n in self.n_values):
-            raise ValidationError(f"n values must all be >= 1, got {self.n_values}")
-        if any(s < 1 for s in self.head_sizes + self.dep_sizes):
-            raise ValidationError("alphabet sizes must all be >= 1")
         if self.aggregate not in ("min", "mean"):
             raise ValidationError(f"aggregate must be 'min' or 'mean', got {self.aggregate!r}")
         if self.workers is not None and self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
+        # n, the alphabet sizes, the concentration and the seed are ModelSpec's rules.
+        for n, hs, ds in itertools.product(self.n_values, self.head_sizes, self.dep_sizes):
+            ModelSpec(n=n, head_size=hs, dep_sizes=ds, concentration=self.concentration,
+                      seed=self.seed)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -285,25 +284,20 @@ class SweepTask:
 def sweep_tasks(config: RunConfig) -> list[SweepTask]:
     """The deterministic model grid for a config, regimes alternating."""
     tasks: list[SweepTask] = []
-    index = 0
-    for n in config.n_values:
-        for hs in config.head_sizes:
-            for ds in config.dep_sizes:
-                for i in range(config.sweep_size):
-                    identical = i % 2 == 0
-                    spec = ModelSpec(
-                        n=n,
-                        head_size=hs,
-                        dep_sizes=ds,
-                        concentration=config.concentration,
-                        seed=derive_seed(config.seed, index),
-                        identical_channels=identical,
-                    )
-                    regime = "id" if identical else "ps"
-                    tasks.append(
-                        SweepTask(model_id=f"n{n}-h{hs}-d{ds}-{regime}-{i:04d}", spec=spec)
-                    )
-                    index += 1
+    grid = itertools.product(config.n_values, config.head_sizes, config.dep_sizes,
+                             range(config.sweep_size))
+    for index, (n, hs, ds, i) in enumerate(grid):
+        identical = i % 2 == 0
+        spec = ModelSpec(
+            n=n,
+            head_size=hs,
+            dep_sizes=ds,
+            concentration=config.concentration,
+            seed=derive_seed(config.seed, index),
+            identical_channels=identical,
+        )
+        regime = "id" if identical else "ps"
+        tasks.append(SweepTask(model_id=f"n{n}-h{hs}-d{ds}-{regime}-{i:04d}", spec=spec))
     return tasks
 
 
@@ -320,15 +314,10 @@ class SweepResult:
     config: RunConfig
     rows: list[ReportRow]
     elapsed_seconds: float
-    model_count: int
 
-    @property
+    @cached_property
     def failures(self) -> list[ReportRow]:
         return [row for row in self.rows if not row[2].holds]
-
-    @property
-    def holds(self) -> bool:
-        return not self.failures
 
 
 def run_sweep(config: RunConfig) -> SweepResult:
@@ -338,20 +327,16 @@ def run_sweep(config: RunConfig) -> SweepResult:
     # models in model_id order sorts the report.
     tasks = sorted(sweep_tasks(config), key=lambda t: t.model_id)
     workers = min(resolve_workers(config.workers), len(tasks))
+    args = [(t, config.tolerance, config.aggregate) for t in tasks]
     if workers > 1:
         ctx = get_context()
-        args = [(t, config.tolerance, config.aggregate) for t in tasks]
         with ctx.Pool(processes=workers) as pool:
             per_task = pool.starmap(_battery_rows, args, chunksize=8)
     else:
-        per_task = [
-            _battery_rows(t, config.tolerance, config.aggregate) for t in tasks
-        ]
+        per_task = list(itertools.starmap(_battery_rows, args))
     rows = [row for chunk in per_task for row in chunk]
     elapsed = time.perf_counter() - start
-    return SweepResult(
-        config=config, rows=rows, elapsed_seconds=elapsed, model_count=len(tasks)
-    )
+    return SweepResult(config=config, rows=rows, elapsed_seconds=elapsed)
 
 
 def _diag_text(check: RelationCheck) -> str:
@@ -387,11 +372,14 @@ def write_witnesses(result: SweepResult, directory: str | Path) -> list[Path]:
     """Serialise every failing model for inspection; returns written paths."""
     from .modelio import save_model  # local import to avoid a cycle
 
+    failing: dict[str, list[str]] = {}
+    for model_id, _, check in result.failures:
+        failing.setdefault(model_id, []).append(check.name)
     by_id = {t.model_id: t.spec for t in sweep_tasks(result.config)}
     written: list[Path] = []
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for model_id in sorted({failed for failed, _, _ in result.failures}):
+    for model_id in sorted(failing):
         spec = by_id[model_id]
         path = directory / f"witness-{model_id}.json"
         save_model(
@@ -401,9 +389,7 @@ def write_witnesses(result: SweepResult, directory: str | Path) -> list[Path]:
                 "model_id": model_id,
                 "seed": spec.seed,
                 "identical_channels": spec.identical_channels,
-                "failing_relations": sorted(
-                    check.name for failed, _, check in result.failures if failed == model_id
-                ),
+                "failing_relations": sorted(failing[model_id]),
             },
         )
         written.append(path)

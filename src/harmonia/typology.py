@@ -105,9 +105,7 @@ def load_typology(path: str | Path | None = None) -> tuple[TypologyRow, ...]:
                     percentage=float(record["percentage"]),
                 )
             )
-        except ValidationError as err:
-            raise ValidationError(f"{where}, data row {line_no}: {err}") from None
-        except (TypeError, KeyError, ValueError) as err:
+        except (TypeError, KeyError, ValueError) as err:  # ValidationError is a ValueError
             raise ValidationError(f"{where}, data row {line_no}: {err}") from None
 
     seen: dict[tuple[str, str], set[int]] = {}

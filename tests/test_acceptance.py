@@ -58,7 +58,7 @@ def test_criterion_1_default_sweep_is_clean(capsys, full_sweep):
     result = full_sweep
     config = result.config
     ok = (
-        result.model_count >= 1000
+        config.model_count >= 1000
         and config.n_values == (2, 3, 4)
         and config.head_sizes == (2, 3, 5)
         and config.dep_sizes == (2, 3, 5)
@@ -67,7 +67,7 @@ def test_criterion_1_default_sweep_is_clean(capsys, full_sweep):
     )
     assert verdict(
         capsys, 1, ok,
-        f"{result.model_count} models, {len(result.rows)} relation checks, "
+        f"{config.model_count} models, {len(result.rows)} relation checks, "
         f"{len(result.failures)} failures in {result.elapsed_seconds:.1f}s",
         "inequalities at 1e-9 nats; wall clock < 60 s",
     )
@@ -142,7 +142,7 @@ def test_criterion_4_harmony_argmax_contracts(capsys, full_sweep):
     problems = []
 
     harmony = [check for _, theorem, check in full_sweep.rows if theorem == "harmony"]
-    if len(harmony) < 2 * full_sweep.model_count:
+    if len(harmony) < 2 * full_sweep.config.model_count:
         problems.append("missing harmony rows in the sweep")
     if any(not check.holds for check in harmony):
         problems.append("a harmony row failed in the sweep")

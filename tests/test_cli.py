@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ import pytest
 import harmonia
 from harmonia import ModelSpec, random_model
 from harmonia.modelio import load_model, save_joint, save_model
-from harmonia.cli import main
+from harmonia.cli import _config_from_args, build_parser, main
+from harmonia.sweep import RunConfig
 
 
 def run(capsys, *argv):
@@ -214,6 +216,34 @@ def test_verify_config_file_with_cli_override(capsys, tmp_path):
     )
     assert code == 0
     assert "OK: 2 models" in err  # --models overrode sweep_size 1
+
+
+def test_verify_flags_are_run_config_fields():
+    """Each verify setting's destination is the RunConfig field it sets."""
+    parser = build_parser()
+    args = parser.parse_args(["verify"])
+    assert {f.name for f in fields(RunConfig)} <= set(vars(args))
+    assert _config_from_args(args) == RunConfig()
+    args = parser.parse_args(["verify", "--tol", "1e-6", "--models", "3", "--n", "1,2",
+                              "--no-timestamp"])
+    assert _config_from_args(args) == RunConfig(tolerance=1e-6, sweep_size=3,
+                                                n_values=(1, 2), timestamp=False)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n", "0", "need n >= 1 dependents, got 0"),
+    ("--head-sizes", "0", "alphabet sizes must be >= 1"),
+    ("--dep-sizes", "2,0", "alphabet sizes must be >= 1"),
+    ("--concentration", "0", "concentration must be a positive finite number, got 0.0"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+])
+def test_verify_grid_errors_come_from_the_model_spec(capsys, tmp_path, flag, value, message):
+    code, out, err = run(capsys, "verify", flag, value)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_values": [0]}))
+    code, out, err = run(capsys, "verify", "--config", str(config))
+    assert (code, out, err) == (2, "", f"error: {config}: need n >= 1 dependents, got 0\n")
 
 
 def test_verify_rejects_unknown_config_key(capsys, tmp_path):
@@ -447,6 +477,18 @@ def test_profile_remainder_needs_k(capsys, tmp_path):
     code, _, err = run(capsys, "profile", str(path), "--objective", "remainder")
     assert code == 2
     assert "needs a stage k" in err
+
+
+@pytest.mark.parametrize("objective", ["head", "dependent"])
+def test_profile_k_outside_the_remainder_objective_exits_2(capsys, tmp_path, objective):
+    path = gen_copy(capsys, tmp_path)
+    out_csv = tmp_path / "profile.csv"
+    for out in ([], ["--out", str(out_csv)]):
+        code, stdout, err = run(capsys, "profile", str(path), "--objective", objective,
+                                "--k", "99", *out)
+        assert (code, stdout) == (2, "")
+        assert "remainder objective only, got k=99" in err
+    assert not out_csv.exists()
 
 
 def test_profile_bits_summary(capsys, tmp_path):

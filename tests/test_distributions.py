@@ -96,6 +96,29 @@ def test_model_row_validation_names_the_offender():
         )
 
 
+@pytest.mark.parametrize("prior, table, message", [
+    ([0.5, 0.5], [[0.5, 0.5], [0.6, 0.3]],
+     "conditional table for dep1, row 1 sums to 0.8999999999999999, expected 1 within 1e-12"),
+    ([0.5, 0.5], [[0.5, 0.5], [1.5, -0.5]],
+     "conditional table for dep1, row 1: entry 0 is 1.5, outside [0, 1]"),
+    ([0.5, 0.5], [[0.5, 0.5], [0.5, math.nan]],
+     "conditional table for dep1, row 1: entry 1 is nan, outside [0, 1]"),
+    ([0.5, 0.5], [[0.6, 0.3], [1.5, -0.5]],  # the first bad row is named, whatever its fault
+     "conditional table for dep1, row 0 sums to 0.8999999999999999, expected 1 within 1e-12"),
+    ([0.5, 0.5], [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]],
+     "conditional table for dep1 has shape (2, 3), expected (2, 2)"),
+    ([0.5, -0.5], [[0.5, 0.5], [0.5, 0.5]], "head prior: entry 1 is -0.5, outside [0, 1]"),
+    ([0.7, 0.7], [[0.5, 0.5], [0.5, 0.5]],
+     "head prior sums to 1.4, expected 1 within 1e-12"),
+])
+def test_model_validation_names_the_first_bad_row(prior, table, message):
+    """A table is checked whole, and the error names the row a row-by-row check would."""
+    with pytest.raises(ValidationError) as err:
+        FactoredModel(head_alphabet=Alphabet(2), dep_alphabets=(Alphabet(2),),
+                      head_prior=np.array(prior), cond_tables=(np.array(table),))
+    assert str(err.value) == message
+
+
 def test_model_prior_validation():
     with pytest.raises(ValidationError, match="head prior"):
         FactoredModel(

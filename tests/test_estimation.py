@@ -92,6 +92,13 @@ def test_sample_set_rejects_mismatched_columns():
         )
 
 
+def test_sample_set_needs_one_alphabet_per_column():
+    good = sample(study_model(), Placement.head_first(2), 10, seed=0)
+    with pytest.raises(ValidationError, match="1 alphabets for 3 columns"):
+        SampleSet(placement=Placement.head_first(2), alphabets=good.alphabets[:1],
+                  rows=good.rows, seed=0)
+
+
 def test_sample_frequencies_approach_the_joint():
     model = study_model()
     joint = build_joint(model)

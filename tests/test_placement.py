@@ -445,6 +445,12 @@ def test_optimal_head_position_requires_k_for_remainder():
         optimal_head_position(copy_model(2, 2, 0.1), Objective.REMAINDER_AT_K)
 
 
+@pytest.mark.parametrize("objective", ["head", "dependent"])
+def test_optimal_head_position_refuses_a_stage_outside_the_remainder_objective(objective):
+    with pytest.raises(ValidationError, match="remainder objective only, got k=1"):
+        optimal_head_position(copy_model(2, 2, 0.1), objective, k=1)
+
+
 def test_optimal_head_position_rejects_bad_aggregate():
     with pytest.raises(ValidationError, match="aggregate"):
         optimal_head_position(copy_model(2, 2, 0.1), "dependent", aggregate="median")

@@ -28,13 +28,14 @@ from harmonia import (
 )
 from harmonia.distributions import Alphabet, FactoredModel, JointTable
 from harmonia.generators import correlated_pair_counterexample
-from harmonia.placement import Objective, Relation, _evaluate
+from harmonia.placement import Objective, Relation, RelationCheck, _evaluate
 import harmonia.distributions
 import harmonia.information
 import harmonia.sweep
 from harmonia.sweep import (
     CSV_HEADER,
     RunConfig,
+    SweepResult,
     battery_plan,
     checks_for_joint,
     resolve_workers,
@@ -107,8 +108,8 @@ def test_run_sweep_starts_no_pool_for_a_single_model(monkeypatch):
     )
     config = RunConfig(sweep_size=1, n_values=(2,), head_sizes=(2,), dep_sizes=(2,), workers=4)
     result = run_sweep(config)
-    assert result.model_count == 1
-    assert result.holds
+    assert config.model_count == 1
+    assert not result.failures
 
 
 def test_sweep_tasks_alternate_regimes_and_are_deterministic():
@@ -410,8 +411,8 @@ def test_checks_for_joint_passes_a_factored_joint():
 
 def test_small_sweep_has_zero_failures():
     result = run_sweep(SMALL)
-    assert result.model_count == 16
-    assert result.holds
+    assert SMALL.model_count == 16
+    assert not result.failures
     assert result.failures == []
     assert len(result.rows) > 300
 
@@ -486,6 +487,29 @@ def test_witnesses_written_only_for_failures(tmp_path):
     clean = run_sweep(SMALL)
     assert write_witnesses(clean, tmp_path) == []
     assert list(tmp_path.iterdir()) == []
+
+
+def test_witnesses_read_each_verdict_once(tmp_path, monkeypatch):
+    """The failing rows are gathered once, not once per failing model."""
+    from collections import Counter
+    from dataclasses import replace
+
+    def failing(check):
+        return replace(check, lhs=check.rhs + (-1.0 if check.relation is Relation.GE else 1.0))
+
+    config = RunConfig(sweep_size=2, n_values=(2,), head_sizes=(2,), dep_sizes=(2,))
+    rows = [(model_id, theorem, failing(check))
+            for model_id, theorem, check in run_sweep(config).rows]
+    reads, holds = Counter(), RelationCheck.holds
+
+    def counted(check):
+        reads[id(check)] += 1
+        return holds.fget(check)
+
+    monkeypatch.setattr(RelationCheck, "holds", property(counted))
+    paths = write_witnesses(SweepResult(config, rows, 0.0), tmp_path)
+    assert len(paths) == 2
+    assert len(reads) == len(rows) and max(reads.values()) == 1
 
 
 def test_witnesses_name_the_failing_model(tmp_path):
