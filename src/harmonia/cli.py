@@ -104,6 +104,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.input:
+        given = [a.option_strings[0] for a in args.sweep_only if getattr(args, a.dest) is not None]
+        if given:
+            raise ValidationError(f"{given[0]} is for sweeps; --input checks one file")
     config = _config_from_args(args)
 
     if args.input:
@@ -330,23 +334,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the randomised relation checks")
     p_verify.add_argument("--config", help="JSON file with RunConfig fields")
     # Each setting's destination is the RunConfig field it sets.
-    p_verify.add_argument("--models", dest="sweep_size", type=int,
-                          help="models per (n, head size, dep size) cell")
-    p_verify.add_argument("--n", dest="n_values", type=_int_list, help="comma-separated n values")
-    p_verify.add_argument("--head-sizes", type=_int_list, default=None)
-    p_verify.add_argument("--dep-sizes", type=_int_list, default=None)
-    p_verify.add_argument("--concentration", type=float, default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
+    sweep = p_verify.add_argument_group("sweep options", "refused with --input")
+    sweep_only = [
+        sweep.add_argument("--models", dest="sweep_size", type=int,
+                           help="models per (n, head size, dep size) cell"),
+        sweep.add_argument("--n", dest="n_values", type=_int_list, help="comma-separated n values"),
+        sweep.add_argument("--head-sizes", type=_int_list, default=None),
+        sweep.add_argument("--dep-sizes", type=_int_list, default=None),
+        sweep.add_argument("--concentration", type=float, default=None),
+        sweep.add_argument("--seed", type=int, default=None),
+        sweep.add_argument("--workers", type=int, default=None,
+                           help="parallel workers (default 1, capped by the CPU count)"),
+        sweep.add_argument("--witness-dir", default=None),
+    ]
     p_verify.add_argument("--tol", dest="tolerance", type=float, help="tolerance in nats")
     p_verify.add_argument("--aggregate", choices=("min", "mean"), default=None)
     p_verify.add_argument("--out", default=None, help="report CSV path (default stdout)")
     p_verify.add_argument("--no-timestamp", dest="timestamp", action="store_false", default=None)
-    p_verify.add_argument("--workers", type=int, default=None,
-                          help="parallel workers (default 1, capped by the CPU count)")
     p_verify.add_argument("--input", default=None,
                           help="check one model/joint file instead of sweeping")
-    p_verify.add_argument("--witness-dir", default=None)
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=cmd_verify, sweep_only=sweep_only)
 
     p_profile = sub.add_parser("profile", help="stage-by-stage predictability of a model")
     p_profile.add_argument("model")
@@ -412,6 +419,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (HarmoniaError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:  # exit 1 means a violated relation
+        print(f"error: out of memory: {err}", file=sys.stderr)
         return 2
 
 

@@ -246,7 +246,7 @@ class FactoredModel:
         """Number of dependents."""
         return len(self.dep_alphabets)
 
-    @property
+    @cached_property
     def has_identical_channels(self) -> bool:
         """True when every dependent shares one conditional table (exactly)."""
         first = self.cond_tables[0]

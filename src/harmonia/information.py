@@ -22,7 +22,8 @@ for the checks that compare against it.
 The public measures take a joint table and groups of variables (each one
 ``Variable`` or an iterable of distinct ones) and validate them; each
 ``*_of`` form takes trusted axis bitmasks instead, as ``entropy_of`` does,
-and every one but ``direct_mi_of`` takes any source.
+and every one but ``direct_mi_of`` takes any source.  ``check_tolerance`` is
+the one rule for a tolerance: a finite number >= 0, where 0.0 is exact.
 """
 
 from __future__ import annotations
@@ -163,25 +164,31 @@ def chain_rule_residual(joint: JointTable, x1: Vars, x2: Vars, y: Vars) -> Nats:
     The left side is summed directly and the right side comes from the
     entropy table, so the residual measures how far the two paths disagree.
     """
-    return chain_rule_residual_of(joint, joint, *_masks(joint, x1, x2, y))
+    m1, m2, my = _masks(joint, x1, x2, y)
+    return chain_rule_residual_of(direct_mi_of(joint, m1 | m2, my), joint, m1, m2, my)
 
 
 def chain_rule_residual_of(
-    joint: JointTable, source: EntropySource, m1: int, m2: int, my: int
+    direct: Nats, source: EntropySource, m1: int, m2: int, my: int
 ) -> Nats:
-    """``chain_rule_residual`` on axis bitmasks, with the left side summed
-    directly on ``joint`` and the right side from ``source``'s entropies."""
-    lhs = direct_mi_of(joint, m1 | m2, my)
-    return abs(lhs - (mi_of(source, m1, my) + mi_of(source, m2, my, m1)))
+    """``chain_rule_residual`` on axis bitmasks, with ``direct`` the left side
+    summed directly and the right side from ``source``'s entropies."""
+    return abs(direct - (mi_of(source, m1, my) + mi_of(source, m2, my, m1)))
+
+
+def check_tolerance(tol: float) -> None:
+    """Refuse ``tol`` unless it is a finite number >= 0, the one rule for a
+    check's tolerance; ``0.0`` makes a check exact."""
+    if not 0.0 <= tol < math.inf:  # False for NaN
+        raise ValidationError(f"tolerance must be a finite number >= 0, got {tol}")
 
 
 @dataclass(frozen=True)
 class MarkovVerdict:
-    """Outcome of testing X -> Y -> Z: the residual is I(X; Z | Y)."""
+    """Outcome of testing X -> Y -> Z within a tolerance: the residual is I(X; Z | Y)."""
 
     is_chain: bool
     residual: Nats
-    tolerance: float
 
 
 def is_markov_chain(
@@ -193,18 +200,15 @@ def is_markov_chain(
     a bit-identical residual, because it only swaps the two leading terms of
     the entropy sum.
     """
-    return _verdict(conditional_mutual_information(joint, x, z, y), tol)
+    check_tolerance(tol)
+    residual = conditional_mutual_information(joint, x, z, y)
+    return MarkovVerdict(is_chain=residual <= tol, residual=residual)
 
 
 def markov_of(source: EntropySource, mx: int, my: int, mz: int, tol: float) -> MarkovVerdict:
-    """``is_markov_chain`` on axis bitmasks."""
-    return _verdict(mi_of(source, mx, mz, my), tol)
-
-
-def _verdict(residual: Nats, tol: float) -> MarkovVerdict:
-    if tol <= 0:
-        raise ValidationError(f"tolerance must be positive, got {tol}")
-    return MarkovVerdict(is_chain=residual <= tol, residual=residual, tolerance=tol)
+    """``is_markov_chain`` on axis bitmasks, with a tolerance already checked."""
+    residual = mi_of(source, mx, mz, my)
+    return MarkovVerdict(is_chain=residual <= tol, residual=residual)
 
 
 def data_processing_gap(

@@ -10,11 +10,13 @@ object that the loaders ignore (read it as the file's JSON ``metadata`` field):
   order the relation checks read.
 
 Floats round-trip exactly (JSON uses repr), so save/load is lossless.  The
-loader re-runs full validation and prefixes any complaint with the file path,
-so a corrupt row is reported as e.g.
+three loaders share one path: it checks the header (format, version and the
+format's fields), runs the format's reader, which re-validates everything,
+and prefixes any complaint with the file path, so a corrupt row is reported as e.g.
 ``model.json: conditional table for dep2, row 1 sums to 0.7...``.  A field of
 the wrong type (a string where numbers belong, a ragged table, a non-integer
-size) is a ``ValidationError`` too, never a bare ``TypeError``.
+size) is a ``ValidationError`` too, never a bare ``TypeError``, and so is text
+that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -99,96 +101,84 @@ def _dump(obj: dict[str, Any], path: str | Path) -> None:
         f.write("\n")
 
 
-def _load_json(path: str | Path) -> dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
-    except json.JSONDecodeError as err:
-        raise ValidationError(
-            f"{path}: not valid JSON (line {err.lineno}, column {err.colno}): {err.msg}"
-        ) from None
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{path}: expected a JSON object at the top level")
-    return obj
-
-
-def _check_header(
-    obj: dict[str, Any], path: str | Path, expected: str, fields: tuple[str, ...]
-) -> None:
-    fmt = obj.get("format")
-    if fmt != expected:
-        raise ValidationError(
-            f"{path}: format field is {fmt!r}, expected {expected!r}"
-        )
-    version = obj.get("version")
-    if version != FORMAT_VERSION:
-        raise ValidationError(
-            f"{path}: unsupported version {version!r} (this build reads {FORMAT_VERSION})"
-        )
-    for field in fields:
-        if field not in obj:
-            raise ValidationError(f"{path}: missing field {field!r}")
-
-
-def _model_from_json(obj: dict[str, Any], path: str | Path) -> FactoredModel:
-    _check_header(obj, path, MODEL_FORMAT,
-                  ("head_alphabet", "dep_alphabets", "head_prior", "cond_tables"))
-    try:
-        model = FactoredModel(
-            head_alphabet=_alphabet_from_json(obj["head_alphabet"], "head_alphabet"),
-            dep_alphabets=tuple(
-                _alphabet_from_json(a, f"dep_alphabets[{i}]")
-                for i, a in enumerate(obj["dep_alphabets"])
-            ),
-            head_prior=_floats(obj["head_prior"], "head_prior"),
-            cond_tables=tuple(
-                _floats(t, f"cond_tables[{i}]") for i, t in enumerate(obj["cond_tables"])
-            ),
-        )
-    except (TypeError, ValueError) as err:  # ValidationError is a ValueError
-        raise ValidationError(f"{path}: {err}") from None
+def _model_from_json(obj: dict[str, Any]) -> FactoredModel:
+    model = FactoredModel(
+        head_alphabet=_alphabet_from_json(obj["head_alphabet"], "head_alphabet"),
+        dep_alphabets=tuple(
+            _alphabet_from_json(a, f"dep_alphabets[{i}]")
+            for i, a in enumerate(obj["dep_alphabets"])
+        ),
+        head_prior=_floats(obj["head_prior"], "head_prior"),
+        cond_tables=tuple(
+            _floats(t, f"cond_tables[{i}]") for i, t in enumerate(obj["cond_tables"])
+        ),
+    )
     declared_n = obj.get("n")
     if declared_n is not None and declared_n != model.n:
         raise ValidationError(
-            f"{path}: header says n={declared_n} but file has {model.n} conditional tables"
+            f"header says n={declared_n} but file has {model.n} conditional tables"
         )
     return model
 
 
-def _joint_from_json(obj: dict[str, Any], path: str | Path) -> JointTable:
-    _check_header(obj, path, JOINT_FORMAT, ("variables", "alphabets", "probabilities"))
+def _joint_from_json(obj: dict[str, Any]) -> JointTable:
+    variables = tuple(parse_variable(name) for name in obj["variables"])
+    alphabets = tuple(
+        _alphabet_from_json(a, f"alphabets[{i}]") for i, a in enumerate(obj["alphabets"])
+    )
+    return JointTable(
+        variables=variables,
+        alphabets=alphabets,
+        probs=_floats(obj["probabilities"], "probabilities"),
+    ).marginal(sorted(variables))
+
+
+#: Each format's reader and the fields it needs.
+_READERS = {
+    MODEL_FORMAT: (_model_from_json,
+                   ("head_alphabet", "dep_alphabets", "head_prior", "cond_tables")),
+    JOINT_FORMAT: (_joint_from_json, ("variables", "alphabets", "probabilities")),
+}
+
+
+def _load(path: str | Path, *formats: str) -> FactoredModel | JointTable:
+    """Read ``path`` as one of ``formats``: the header is checked, then the
+    format's reader re-validates the body, and any complaint gets the path."""
     try:
-        variables = tuple(parse_variable(name) for name in obj["variables"])
-        alphabets = tuple(
-            _alphabet_from_json(a, f"alphabets[{i}]") for i, a in enumerate(obj["alphabets"])
-        )
-        return JointTable(
-            variables=variables,
-            alphabets=alphabets,
-            probs=_floats(obj["probabilities"], "probabilities"),
-        ).marginal(sorted(variables))
+        with open(path, "r", encoding="utf-8") as f:
+            obj = json.load(f)
+        if not isinstance(obj, dict):
+            raise ValidationError("expected a JSON object at the top level")
+        fmt = obj.get("format")
+        if fmt not in formats:
+            raise ValidationError(
+                f"format field is {fmt!r}, expected {' or '.join(map(repr, formats))}")
+        version = obj.get("version")
+        if version != FORMAT_VERSION:
+            raise ValidationError(
+                f"unsupported version {version!r} (this build reads {FORMAT_VERSION})")
+        reader, needed = _READERS[fmt]
+        for field in needed:
+            if field not in obj:
+                raise ValidationError(f"missing field {field!r}")
+        return reader(obj)
+    except json.JSONDecodeError as err:
+        raise ValidationError(
+            f"{path}: not valid JSON (line {err.lineno}, column {err.colno}): {err.msg}") from None
     except (TypeError, ValueError) as err:  # ValidationError is a ValueError
         raise ValidationError(f"{path}: {err}") from None
 
 
 def load_model(path: str | Path) -> FactoredModel:
     """Load a ``harmonia-model`` file, re-validating every row."""
-    return _model_from_json(_load_json(path), path)
+    return _load(path, MODEL_FORMAT)
 
 
 def load_joint(path: str | Path) -> JointTable:
     """Load a ``harmonia-joint`` file, re-validating the table."""
-    return _joint_from_json(_load_json(path), path)
+    return _load(path, JOINT_FORMAT)
 
 
 def load_any(path: str | Path) -> FactoredModel | JointTable:
     """Load either format, dispatching on the ``format`` header field."""
-    obj = _load_json(path)
-    fmt = obj.get("format")
-    if fmt == MODEL_FORMAT:
-        return _model_from_json(obj, path)
-    if fmt == JOINT_FORMAT:
-        return _joint_from_json(obj, path)
-    raise ValidationError(
-        f"{path}: format field is {fmt!r}, expected {MODEL_FORMAT!r} or {JOINT_FORMAT!r}"
-    )
+    return _load(path, MODEL_FORMAT, JOINT_FORMAT)

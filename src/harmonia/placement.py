@@ -41,7 +41,6 @@ Two families of relations need different care:
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -58,6 +57,7 @@ from .information import (
     DEFAULT_TOLERANCE,
     MarkovVerdict,
     Nats,
+    check_tolerance,
     markov_of,
     mi_of,
     mutual_information,
@@ -236,8 +236,9 @@ def relation_check(
     ``tol = 0.0`` makes an exact check (EQ then holds only on ``lhs == rhs``);
     a bound ``|value| <= tol`` is EQ of ``value`` against ``0.0``.  A
     ``chain`` is diagnosed on ``source``'s entropies when the two sides are
-    within ``10 * tol``.
+    within ``10 * tol``.  ``tol`` must be a finite number >= 0.
     """
+    check_tolerance(tol)
     diagnosis = None
     if chain is not None and abs(lhs - rhs) <= 10.0 * tol:
         diagnosis = markov_of(source, *chain, tol)
@@ -567,8 +568,7 @@ def optimal_head_position(
     objective = Objective(objective)
     if aggregate not in ("min", "mean"):
         raise ValidationError(f"aggregate must be 'min' or 'mean', got {aggregate!r}")
-    if not 0.0 <= tol < math.inf:  # False for NaN
-        raise ValidationError(f"tolerance must be a finite number >= 0, got {tol}")
+    check_tolerance(tol)
     n = model.n
     if objective is Objective.REMAINDER_AT_K:
         if k is None:

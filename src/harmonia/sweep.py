@@ -15,7 +15,7 @@ guaranteed for the model's regime:
 axis bitmasks; ``theorem_battery`` evaluates it on the model's own subset
 entropies, read off its factors, adds the harmony rows from the same
 entropies and the identity rows, which compare them with direct summation on
-the dense joint, and sorts the rows by (theorem, relation).  A report row is
+the dense joint (each sum once), and sorts the rows by (theorem, relation).  A report row is
 ``(model_id, theorem, check)``, the check a ``RelationCheck``.  With the
 models in model_id order the report is sorted, so reruns with the same config
 are byte-identical apart from an optional timestamp comment.  A ``RunConfig``
@@ -225,12 +225,13 @@ def theorem_battery(
         symmetric.append(("symmetry dep1-vs-rest", first, HEAD_MASK | rest))
         residuals = [("chain-rule deps-about-head", first, rest, HEAD_MASK),
                      ("chain-rule head+dep1-about-rest", HEAD_MASK, first, rest)]
-    out += [("identity", relation_check(name, Relation.EQ, direct_mi_of(joint, x, y),
-                                        direct_mi_of(joint, y, x), 0.0))
+    # Each sum once: "chain-rule deps-about-head" sums the rhs of "symmetry head-vs-deps".
+    direct = cache(lambda x, y: direct_mi_of(joint, x, y))
+    out += [("identity", relation_check(name, Relation.EQ, direct(x, y), direct(y, x), 0.0))
             for name, x, y in symmetric]
-    out += [("identity", relation_check(
-                name, Relation.EQ, chain_rule_residual_of(joint, model, *masks), 0.0, tol))
-            for name, *masks in residuals]
+    out += [("identity", relation_check(name, Relation.EQ, chain_rule_residual_of(
+                direct(m1 | m2, my), model, m1, m2, my), 0.0, tol))
+            for name, m1, m2, my in residuals]
 
     # Harmony contracts: which head positions attain each objective's max.
     # Producing every dependent first can only add information about the

@@ -278,6 +278,57 @@ def test_verify_missing_input_is_a_clean_error(capsys, tmp_path):
     assert "error:" in err
 
 
+SWEEP_ONLY = [("--models", "3"), ("--n", "5"), ("--head-sizes", "2"), ("--dep-sizes", "2"),
+              ("--concentration", "0.5"), ("--seed", "1"), ("--workers", "2"),
+              ("--witness-dir", "w")]
+
+
+@pytest.mark.parametrize("flag,value", SWEEP_ONLY, ids=[flag for flag, _ in SWEEP_ONLY])
+def test_verify_input_refuses_a_sweep_only_flag(capsys, tmp_path, flag, value):
+    path = tmp_path / "counter.json"
+    assert run(capsys, "gen", "counterexample", "--out", str(path))[0] == 0
+    out = tmp_path / "report.csv"
+    code, _, err = run(capsys, "verify", "--input", str(path), flag, value, "--out", str(out))
+    assert (code, err) == (2, f"error: {flag} is for sweeps; --input checks one file\n")
+    assert not out.exists()
+
+
+def test_verify_input_names_the_first_sweep_only_flag_and_writes_nothing(capsys, tmp_path):
+    path = tmp_path / "counter.json"
+    assert run(capsys, "gen", "counterexample", "--out", str(path))[0] == 0
+    witnesses = tmp_path / "d"
+    code, out, err = run(capsys, "verify", "--input", str(path), "--n", "5", "--models", "3",
+                         "--witness-dir", str(witnesses))
+    assert (code, out) == (2, "")
+    assert err == "error: --models is for sweeps; --input checks one file\n"
+    assert not witnesses.exists()
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path):
+    """A request that does not fit under the address-space limit is a usage
+    error, not a traceback with exit 1 (which means a violated relation).
+    The limit is set in the child, so nothing large is allocated."""
+    resource = pytest.importorskip("resource")
+    model, out = tmp_path / "model.json", tmp_path / "samples.csv"
+    save_model(random_model(ModelSpec(n=7, head_size=5, dep_sizes=5, seed=7)), model)
+    limit = 1_500_000_000
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(harmonia.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "harmonia.cli", "sample", str(model), "--count", "10000000000",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: out of memory: ")
+    assert done.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 #: The equality_diagnosis cells of `verify --input` on copy_model(3, 2, 0.0):
 #: every relation whose two sides meet, with the Markov chain that explains it.
 COPY3_DIAGNOSES = {

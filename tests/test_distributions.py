@@ -354,3 +354,12 @@ def test_has_identical_channels():
         ),
     )
     assert not mixed.has_identical_channels
+
+
+def test_has_identical_channels_compares_the_tables_once(monkeypatch):
+    model = copy_model(4, 2, 0.1)
+    assert model.has_identical_channels
+    calls = []
+    monkeypatch.setattr(np, "array_equal", lambda *args: calls.append(args) or True)
+    assert model.has_identical_channels
+    assert calls == []

@@ -14,7 +14,7 @@ from harmonia.modelio import (
     save_joint,
     save_model,
 )
-from harmonia.modelio import FORMAT_VERSION, MODEL_FORMAT, model_to_json
+from harmonia.modelio import FORMAT_VERSION, MODEL_FORMAT, joint_to_json, model_to_json
 
 
 def test_model_round_trip_is_bit_exact(tmp_path):
@@ -129,3 +129,102 @@ def test_saved_file_ends_with_newline(tmp_path):
     path = tmp_path / "m.json"
     save_model(copy_model(1, 2, 0.1), path)
     assert path.read_text().endswith("}\n")
+
+
+# -- loader messages, pinned ----------------------------------------------------
+
+_MODEL = model_to_json(copy_model(2, 2, 0.1))
+_JOINT = joint_to_json(correlated_pair_counterexample())
+_NOT_MODEL = "format field is 'harmonia-joint', expected 'harmonia-model'"
+_NOT_JOINT = "format field is 'harmonia-model', expected 'harmonia-joint'"
+
+
+def _edited(base, **changes):
+    obj = dict(base)
+    for key, value in changes.items():
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    return json.dumps(obj)
+
+
+def _both(message):
+    """The same message from every loader."""
+    return {"load_model": message, "load_joint": message, "load_any": message}
+
+
+def _model_file(message):
+    """A model file's message from load_model and load_any; load_joint refuses the format."""
+    return {"load_model": message, "load_joint": _NOT_JOINT, "load_any": message}
+
+
+def _joint_file(message):
+    """A joint file's message from load_joint and load_any; load_model refuses the format."""
+    return {"load_model": _NOT_MODEL, "load_joint": message, "load_any": message}
+
+
+def _other_format(fmt):
+    return {
+        "load_model": f"format field is {fmt}, expected 'harmonia-model'",
+        "load_joint": f"format field is {fmt}, expected 'harmonia-joint'",
+        "load_any": f"format field is {fmt}, expected 'harmonia-model' or 'harmonia-joint'",
+    }
+
+
+MALFORMED = {
+    "not-json": ('{"format": "harmonia-model",\n  "version": }',
+                 _both("not valid JSON (line 2, column 14): Expecting value")),
+    "top-level-list": ("[1, 2]", _both("expected a JSON object at the top level")),
+    "other-format": (json.dumps({"format": "something-else", "version": 1}),
+                     _other_format("'something-else'")),
+    "no-format": (_edited(_MODEL, format=None), _other_format("None")),
+    "future-version": (_edited(_MODEL, version=2),
+                       _model_file("unsupported version 2 (this build reads 1)")),
+    "missing-field": (_edited(_MODEL, cond_tables=None),
+                      _model_file("missing field 'cond_tables'")),
+    "row-sum": (_edited(_MODEL, cond_tables=[[[0.9, 0.1], [0.3, 0.3]], [[0.9, 0.1], [0.1, 0.9]]]),
+                _model_file("conditional table for dep1, row 1 sums to 0.6, expected 1 within 1e-12")),
+    "declared-n": (_edited(_MODEL, n=3),
+                   _model_file("header says n=3 but file has 2 conditional tables")),
+    "alphabet-not-object": (_edited(_MODEL, head_alphabet=2),
+                            _model_file("head_alphabet: expected an object with a 'size' field")),
+    "size-not-integer": (_edited(_MODEL, head_alphabet={"size": "two"}),
+                         _model_file("head_alphabet: size must be an integer, got 'two'")),
+    "ragged-prior": (_edited(_MODEL, head_prior=[0.5, [0.5]]),
+                     _model_file("head_prior: expected a regular array of numbers")),
+    "alphabets-not-list": (_edited(_MODEL, dep_alphabets=5),
+                           _model_file("'int' object is not iterable")),
+    "joint-missing-field": (_edited(_JOINT, probabilities=None),
+                            _joint_file("missing field 'probabilities'")),
+    "joint-bad-variable": (_edited(_JOINT, variables=["head", "verb", "dep2"]),
+                           _joint_file("unrecognised variable name 'verb'")),
+    "joint-not-numbers": (_edited(_JOINT, probabilities="abc"),
+                          _joint_file("probabilities: expected a regular array of numbers")),
+    "joint-wrong-shape": (_edited(_JOINT, probabilities=[[0.5, 0.5], [0.0, 0.0]]),
+                          _joint_file("probability array has shape (2, 2), expected (2, 2, 2)")),
+}
+LOADERS = {"load_model": load_model, "load_joint": load_joint, "load_any": load_any}
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_loader_messages_are_pinned(tmp_path, case, loader):
+    text, messages = MALFORMED[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as info:
+        LOADERS[loader](path)
+    assert str(info.value) == f"{path}: {messages[loader]}"
+
+
+@pytest.mark.parametrize("loader", sorted(LOADERS))
+def test_loader_refuses_text_that_is_not_utf8(tmp_path, loader):
+    """A file that is not UTF-8 is a ValidationError naming the file, so the
+    command line exits 2 instead of printing a UnicodeDecodeError traceback."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"format": "harmonia-model", "labels": ["\xe9t\xe9"]}')
+    with pytest.raises(ValidationError) as info:
+        LOADERS[loader](path)
+    assert str(info.value) == (
+        f"{path}: 'utf-8' codec can't decode byte 0xe9 in position 41: invalid continuation byte")

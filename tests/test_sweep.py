@@ -28,7 +28,17 @@ from harmonia import (
 )
 from harmonia.distributions import Alphabet, FactoredModel, JointTable
 from harmonia.generators import correlated_pair_counterexample
-from harmonia.placement import Objective, Relation, RelationCheck, _evaluate
+from harmonia.information import is_markov_chain
+from harmonia.placement import (
+    Objective,
+    Relation,
+    RelationCheck,
+    _evaluate,
+    lattice_report,
+    remainder_relation_checks,
+    verify_irrelevance,
+    verify_pending_theorem,
+)
 import harmonia.distributions
 import harmonia.information
 import harmonia.sweep
@@ -187,6 +197,58 @@ def test_battery_identity_checks_are_bit_exact():
         if check.name.startswith("symmetry"):
             assert check.tolerance == 0.0
             assert check.lhs == check.rhs
+
+
+def test_battery_sums_each_direct_mi_once(monkeypatch):
+    """The chain-rule row deps-about-head sums the rhs of symmetry
+    head-vs-deps; the battery sums it once, so 5 direct sums at n >= 2 and 2
+    at n = 1, with the same rows."""
+    for n, sums in ((1, 2), (2, 5), (3, 5)):
+        model = random_model(ModelSpec(n=n, head_size=3, dep_sizes=2, seed=n))
+        expected = theorem_battery(model)
+        calls = []
+
+        def counted(*args, original=harmonia.information.direct_mi_of):
+            calls.append(args[1:])
+            return original(*args)
+
+        for module in (harmonia.sweep, harmonia.information):
+            monkeypatch.setattr(module, "direct_mi_of", counted)
+        assert theorem_battery(model) == expected
+        monkeypatch.undo()
+        assert len(calls) == len(set(calls)) == sums
+
+
+# -- the tolerance rule ----------------------------------------------------------------
+
+
+def test_an_exact_check_takes_tolerance_zero():
+    """tol = 0.0 is an exact check, from every entry point."""
+    model = copy_model(3, 2, 0.0)
+    for checks in (verify_pending_theorem(model, 1, 2, tol=0.0), lattice_report(model, 1, tol=0.0),
+                   [check for _, check in theorem_battery(model, tol=0.0)]):
+        assert checks and all(isinstance(check, RelationCheck) for check in checks)
+        assert {check.tolerance for check in checks} <= {0.0, 1e-12}
+    verdict = is_markov_chain(model.joint, HEAD, dep(1), (dep(2), dep(3)), tol=0.0)
+    assert verdict.is_chain == (verdict.residual == 0.0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_every_check_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    model = copy_model(3, 2, 0.1)
+    calls = [
+        lambda: theorem_battery(model, tol=tol),
+        lambda: checks_for_joint(correlated_pair_counterexample(), tol),
+        lambda: remainder_relation_checks(model, tol),
+        lambda: verify_irrelevance(model, 1, 2, tol=tol),
+        lambda: lattice_report(model, 1, tol=tol),
+        lambda: optimal_head_position(model, Objective.HEAD_PREDICTABILITY, tol=tol),
+        lambda: is_markov_chain(model.joint, HEAD, dep(1), dep(2), tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"tolerance must be a finite number >= 0, got {tol}"
 
 
 # -- the battery against the brute-force oracle ------------------------------------
