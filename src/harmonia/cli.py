@@ -4,7 +4,9 @@ Five subcommands: ``verify`` (the randomised relation gate, exit 1 on any
 violation), ``profile`` (per-position predictability of one model),
 ``typology`` (the bundled verb-placement table), ``gen`` (model generators)
 and ``sample`` (Monte Carlo draws).  All information values are nats in CSV
-output; ``--bits`` converts printed summaries only.
+output; ``--bits`` converts printed summaries only.  ``modelio.read_json`` reads
+every JSON input, and any bad input exits 2 with one ``error: …`` line.  ``verify``
+writes its report and picks its exit code once, for ``--input`` and sweeps alike.
 """
 
 from __future__ import annotations
@@ -12,20 +14,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .distributions import (
-    HEAD,
     FactoredModel,
     HarmoniaError,
     JointSizeError,
     ValidationError,
     check_factorization,
-    dep,
-    dep_range,
 )
 from .estimation import check_stage, next_element_score, sample
 from .generators import (
@@ -35,8 +33,8 @@ from .generators import (
     independent_model,
     random_model,
 )
-from .information import DEFAULT_TOLERANCE, mi_of, mutual_information, to_bits
-from .modelio import load_any, load_model, save_joint, save_model
+from .information import DEFAULT_TOLERANCE, mi_of, to_bits
+from .modelio import load_any, load_model, read_json, save_joint, save_model
 from .placement import (
     HEAD_MASK,
     Objective,
@@ -83,21 +81,7 @@ def _open_out(path: str | None):
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The config file's settings (or the defaults), then the command line's."""
-    config = RunConfig()
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            try:
-                loaded = json.load(f)
-            except json.JSONDecodeError as err:
-                raise ValidationError(
-                    f"{args.config}: not valid JSON (line {err.lineno}): {err.msg}"
-                ) from None
-        if not isinstance(loaded, dict):
-            raise ValidationError(f"{args.config}: config must be a JSON object")
-        try:
-            config = RunConfig.from_dict(loaded)
-        except ValidationError as err:
-            raise ValidationError(f"{args.config}: {err}") from None
+    config = read_json(args.config, RunConfig.from_dict) if args.config else RunConfig()
     flags = {f.name: value for f in fields(RunConfig)
              if (value := getattr(args, f.name)) is not None}
     return replace(config, **flags)
@@ -117,36 +101,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
             pairs = theorem_battery(loaded, tol=config.tolerance, aggregate=config.aggregate)
         else:
             pairs = checks_for_joint(loaded, config.tolerance)
-        failures = sum(not check.holds for _, check in pairs)
-        with _open_out(config.out) as out:
-            write_report(((model_id, theorem, check) for theorem, check in pairs), out,
-                         timestamp=config.timestamp)
-        print(
-            f"checked 1 input ({model_id}): {len(pairs)} relations, "
-            f"{failures} violation(s)",
-            file=sys.stderr,
-        )
-        return 0 if not failures else 1
-
-    result = run_sweep(config)
+        rows = [(model_id, theorem, check) for theorem, check in pairs]
+        failures = [row for row in rows if not row[2].holds]
+        summary = (f"checked 1 input ({model_id}): {len(rows)} relations, "
+                   f"{len(failures)} violation(s)")
+    else:
+        result = run_sweep(config)
+        rows, failures = result.rows, result.failures
+        summary = (f"OK: {config.model_count} models, {len(rows)} relation checks, "
+                   f"0 failures in {result.elapsed_seconds:.1f}s")
     with _open_out(config.out) as out:
-        write_report(result.rows, out, timestamp=config.timestamp)
-    if result.failures:
+        write_report(rows, out, timestamp=config.timestamp)
+    if failures and not args.input:
         directory = args.witness_dir or (str(Path(config.out).parent) if config.out else ".")
         written = write_witnesses(result, directory)
-        print(
-            f"FAIL: {len(result.failures)} of {len(result.rows)} relation checks "
-            f"failed across {config.model_count} models; witnesses: "
-            + ", ".join(str(p) for p in written),
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"OK: {config.model_count} models, {len(result.rows)} relation checks, "
-        f"0 failures in {result.elapsed_seconds:.1f}s",
-        file=sys.stderr,
-    )
-    return 0
+        summary = (f"FAIL: {len(failures)} of {len(rows)} relation checks failed across "
+                   f"{config.model_count} models; witnesses: " + ", ".join(map(str, written)))
+    print(summary, file=sys.stderr)
+    return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +217,9 @@ def _print_model_summary(model: FactoredModel, bits: bool) -> None:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "copy":
-        model = copy_model(n=args.n, size=args.size, noise=args.noise)
-        meta = {"generator": "copy", "n": args.n, "size": args.size, "noise": args.noise}
+        params = {"n": args.n, "size": args.size, "noise": args.noise}
+        model = copy_model(**params)
+        meta = {"generator": "copy", **params}
     elif args.kind == "random":
         spec = ModelSpec(
             n=args.n,
@@ -274,13 +247,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
             },
         )
         print(f"wrote {args.out} (non-factored joint)", file=sys.stderr)
-        total = mutual_information(joint, HEAD, dep_range(1, 2))
+        total = mi_of(joint, HEAD_MASK, deps_mask(1, 2))
         print(f"I(head; dependents) = {_fmt(total, args.bits)}", file=sys.stderr)
-        print(
-            "I(dep1; head+dep2) = "
-            f"{_fmt(mutual_information(joint, dep(1), (HEAD, dep(2))), args.bits)}",
-            file=sys.stderr,
-        )
+        pair = mi_of(joint, 1 << 1, HEAD_MASK | 1 << 2)
+        print(f"I(dep1; head+dep2) = {_fmt(pair, args.bits)}", file=sys.stderr)
         print(f"max factorization violation = {violation:.6f}", file=sys.stderr)
         return 0
     save_model(model, args.out, metadata=meta)

@@ -24,6 +24,7 @@ and an error names its first bad row.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Protocol, Sequence
@@ -51,6 +52,13 @@ class ZeroProbabilityError(HarmoniaError, ValueError):
 
 class JointSizeError(HarmoniaError, ValueError):
     """The requested dense joint table would exceed the cell cap."""
+
+
+def as_integer(value: object) -> int:
+    """``operator.index``, and a ``bool`` is refused too: JSON true/false is not an integer."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not an integer")
+    return operator.index(value)
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +184,18 @@ def _entropy(p: np.ndarray) -> float:
     return -float(terms.sum())
 
 
+def _check_cells(shape: Sequence[int]) -> None:
+    """Refuse a dense table of ``shape`` above ``MAX_JOINT_CELLS`` cells."""
+    cells = math.prod(shape)
+    if cells > MAX_JOINT_CELLS:
+        raise JointSizeError(f"joint table would need {cells} cells, cap is {MAX_JOINT_CELLS}")
+
+
 def _product(head_prior: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
     """p(head) times each table's p(dep | head): the joint over the head and
     those dependents, one axis each in the order given.  A product above
     ``MAX_JOINT_CELLS`` cells is refused before any memory is allocated."""
-    cells = head_prior.shape[0] * math.prod(table.shape[1] for table in tables)
-    if cells > MAX_JOINT_CELLS:
-        raise JointSizeError(f"joint table would need {cells} cells, cap is {MAX_JOINT_CELLS}")
+    _check_cells((head_prior.shape[0], *(table.shape[1] for table in tables)))
     probs = head_prior
     for i, table in enumerate(tables):
         # probs has shape (head, d1..di-1); append the axis for dependent i.
@@ -338,11 +351,7 @@ class JointTable:
         if len(set(self.variables)) != len(self.variables):
             raise ValidationError("duplicate variable in joint table")
         shape = tuple(a.size for a in self.alphabets)
-        cells = math.prod(shape) if shape else 0
-        if cells > MAX_JOINT_CELLS:
-            raise JointSizeError(
-                f"joint table would need {cells} cells, cap is {MAX_JOINT_CELLS}"
-            )
+        _check_cells(shape)
         if self.probs.shape != shape:
             raise ValidationError(
                 f"probability array has shape {self.probs.shape}, expected {shape}"

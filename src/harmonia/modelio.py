@@ -9,22 +9,22 @@ object that the loaders ignore (read it as the file's JSON ``metadata`` field):
   in any order; the loader transposes the table to head, dep1..n, the axis
   order the relation checks read.
 
-Floats round-trip exactly (JSON uses repr), so save/load is lossless.  The
-three loaders share one path: it checks the header (format, version and the
-format's fields), runs the format's reader, which re-validates everything,
-and prefixes any complaint with the file path, so a corrupt row is reported as e.g.
-``model.json: conditional table for dep2, row 1 sums to 0.7...``.  A field of
-the wrong type (a string where numbers belong, a ragged table, a non-integer
-size) is a ``ValidationError`` too, never a bare ``TypeError``, and so is text
-that is not UTF-8.
+Floats round-trip exactly (JSON uses repr), so save/load is lossless.
+``read_json`` reads every JSON input, the ``verify`` config file too: it parses
+one JSON object from UTF-8 text, hands it to a ``build`` function and prefixes
+any complaint with the path, e.g. ``model.json: conditional table for dep2, row 1
+sums to 0.7...``.  A loader's ``build`` checks the header (format, version and
+the format's fields) and runs the format's reader, which re-validates everything.
+A field of the wrong type (a string or ``true`` where numbers belong, a ragged
+table, a non-integer size) is a ``ValidationError`` too, and so is non-UTF-8 text.
 """
 
 from __future__ import annotations
 
 import json
-import operator
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .distributions import (
     FactoredModel,
     JointTable,
     ValidationError,
+    as_integer,
     parse_variable,
 )
 
@@ -49,7 +50,7 @@ def _alphabet_from_json(obj: Any, where: str) -> Alphabet:
     if not isinstance(obj, dict) or "size" not in obj:
         raise ValidationError(f"{where}: expected an object with a 'size' field")
     try:
-        size = operator.index(obj["size"])
+        size = as_integer(obj["size"])
     except TypeError:
         raise ValidationError(f"{where}: size must be an integer, got {obj['size']!r}") from None
     labels = obj.get("labels")
@@ -58,6 +59,8 @@ def _alphabet_from_json(obj: Any, where: str) -> Alphabet:
 
 def _floats(value: Any, where: str) -> np.ndarray:
     try:
+        if bool in map(type, np.asarray(value, dtype=object).flat):
+            raise TypeError  # JSON true/false is not a number
         return np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         raise ValidationError(f"{where}: expected a regular array of numbers") from None
@@ -141,44 +144,50 @@ _READERS = {
 }
 
 
-def _load(path: str | Path, *formats: str) -> FactoredModel | JointTable:
-    """Read ``path`` as one of ``formats``: the header is checked, then the
-    format's reader re-validates the body, and any complaint gets the path."""
+def read_json(path: str | Path, build: Callable[[dict[str, Any]], Any]) -> Any:
+    """``build`` of the JSON object in the UTF-8 file at ``path``; any complaint
+    (the decoder's, the parser's or ``build``'s) is a ``ValidationError`` starting with the path."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
         if not isinstance(obj, dict):
             raise ValidationError("expected a JSON object at the top level")
-        fmt = obj.get("format")
-        if fmt not in formats:
-            raise ValidationError(
-                f"format field is {fmt!r}, expected {' or '.join(map(repr, formats))}")
-        version = obj.get("version")
-        if version != FORMAT_VERSION:
-            raise ValidationError(
-                f"unsupported version {version!r} (this build reads {FORMAT_VERSION})")
-        reader, needed = _READERS[fmt]
-        for field in needed:
-            if field not in obj:
-                raise ValidationError(f"missing field {field!r}")
-        return reader(obj)
+        return build(obj)
     except json.JSONDecodeError as err:
         raise ValidationError(
             f"{path}: not valid JSON (line {err.lineno}, column {err.colno}): {err.msg}") from None
-    except (TypeError, ValueError) as err:  # ValidationError is a ValueError
+    except (TypeError, ValueError) as err:  # ValidationError and UnicodeDecodeError are ValueErrors
         raise ValidationError(f"{path}: {err}") from None
+
+
+def _from_json(formats: tuple[str, ...], obj: dict[str, Any]) -> FactoredModel | JointTable:
+    """``obj`` read as one of ``formats``: the header is checked, then the
+    format's reader re-validates the body."""
+    fmt = obj.get("format")
+    if fmt not in formats:
+        raise ValidationError(
+            f"format field is {fmt!r}, expected {' or '.join(map(repr, formats))}")
+    version = obj.get("version")
+    if version != FORMAT_VERSION:
+        raise ValidationError(
+            f"unsupported version {version!r} (this build reads {FORMAT_VERSION})")
+    reader, needed = _READERS[fmt]
+    for field in needed:
+        if field not in obj:
+            raise ValidationError(f"missing field {field!r}")
+    return reader(obj)
 
 
 def load_model(path: str | Path) -> FactoredModel:
     """Load a ``harmonia-model`` file, re-validating every row."""
-    return _load(path, MODEL_FORMAT)
+    return read_json(path, partial(_from_json, (MODEL_FORMAT,)))
 
 
 def load_joint(path: str | Path) -> JointTable:
     """Load a ``harmonia-joint`` file, re-validating the table."""
-    return _load(path, JOINT_FORMAT)
+    return read_json(path, partial(_from_json, (JOINT_FORMAT,)))
 
 
 def load_any(path: str | Path) -> FactoredModel | JointTable:
     """Load either format, dispatching on the ``format`` header field."""
-    return _load(path, MODEL_FORMAT, JOINT_FORMAT)
+    return read_json(path, partial(_from_json, (MODEL_FORMAT, JOINT_FORMAT)))

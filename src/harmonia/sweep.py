@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass, fields
@@ -41,6 +40,7 @@ from .distributions import (
     FactoredModel,
     JointTable,
     ValidationError,
+    as_integer,
     check_factorization,
 )
 from .information import DEFAULT_TOLERANCE, chain_rule_residual_of, direct_mi_of
@@ -98,18 +98,19 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # Types first, so that a malformed config file is a ValidationError and
-        # not a TypeError deep inside the sweep.  operator.index refuses 1.5
-        # and "ten" where an integer belongs.
+        # not a TypeError deep inside the sweep.  as_integer refuses 1.5, "ten"
+        # and true where an integer belongs.
         ints = ("sweep_size", "seed") + (("workers",) if self.workers is not None else ())
         lists = ("n_values", "head_sizes", "dep_sizes")
         name = ""
         try:
             for name in ints:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
+                object.__setattr__(self, name, as_integer(getattr(self, name)))
             for name in lists:
-                object.__setattr__(self, name, tuple(map(operator.index, getattr(self, name))))
+                object.__setattr__(self, name, tuple(map(as_integer, getattr(self, name))))
             for name in ("tolerance", "concentration"):
-                if not isinstance(getattr(self, name), (int, float)):
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise TypeError
         except TypeError:
             what = ("an integer" if name in ints
@@ -266,7 +267,7 @@ def checks_for_joint(joint: JointTable, tol: float = DEFAULT_TOLERANCE) -> list[
     relations may genuinely fail; that is the point.
     """
     factorization = relation_check("dependents independent given head", Relation.EQ,
-                                   check_factorization(joint), 0.0, max(tol, 1e-12))
+                                   check_factorization(joint), 0.0, max(tol, INDEPENDENCE_TOL))
     return [("factorization", factorization)] + [
         ("remainder", check) for check in remainder_relation_checks(joint, tol)]
 

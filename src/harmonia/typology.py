@@ -81,8 +81,11 @@ def load_typology(path: str | Path | None = None) -> tuple[TypologyRow, ...]:
         text = bundled_dataset_text()
         where = "bundled verb_placement.csv"
     else:
-        text = Path(path).read_text("utf-8")
         where = str(path)
+        try:
+            text = Path(path).read_text("utf-8")
+        except UnicodeDecodeError as err:
+            raise ValidationError(f"{where}: {err}") from None
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     reader = csv.DictReader(io.StringIO("\n".join(lines)))
     header = tuple(reader.fieldnames or ())

@@ -246,6 +246,33 @@ def test_verify_grid_errors_come_from_the_model_spec(capsys, tmp_path, flag, val
     assert (code, out, err) == (2, "", f"error: {config}: need n >= 1 dependents, got 0\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"sweep_size": 2,}',
+         "not valid JSON (line 1, column 18): Expecting property name enclosed in double quotes"),
+        ("[1, 2]", "expected a JSON object at the top level"),
+    ],
+    ids=["not-json", "top-level-list"],
+)
+def test_config_file_json_messages_are_the_loaders(capsys, tmp_path, text, message):
+    """A config file is read like a model file, so its JSON complaints are the same."""
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert run(capsys, "verify", "--config", str(config)) == (2, "", f"error: {config}: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "typology"])
+def test_input_that_is_not_utf8_exits_2(capsys, tmp_path, command):
+    """A config file or typology CSV that is not UTF-8 is a usage error, not a traceback."""
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    argv = ["verify", "--config", str(path)] if command == "verify" else ["typology", str(path)]
+    assert run(capsys, *argv) == (
+        2, "", f"error: {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte\n")
+
+
 def test_verify_rejects_unknown_config_key(capsys, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"sweep": 1}))
@@ -427,6 +454,19 @@ def test_verify_input_rejects_nan_probabilities(capsys, tmp_path, document):
         ("config", {"head_sizes": [2, 3, 2]}),
         ("config", {"dep_sizes": [5, 5]}),
         ("config", {"head_sizes": []}),
+        # JSON true/false where a number belongs, each run on a small grid.
+        ("config", {"tolerance": True, "sweep_size": 1, "n_values": [1]}),
+        ("config", {"seed": False, "sweep_size": 1, "n_values": [1]}),
+        ("config", {"sweep_size": True, "n_values": [1]}),
+        ("config", {"n_values": [True], "sweep_size": 1}),
+        ("config", {"workers": True, "sweep_size": 1, "n_values": [1]}),
+        ("config", {"concentration": True, "sweep_size": 1, "n_values": [1]}),
+        ("model", _copy_model_json(head_prior=[True, False])),
+        ("model", _copy_model_json(head_alphabet={"size": True}, head_prior=[1.0],
+                                   cond_tables=[[[0.9, 0.1]]])),
+        ("joint", {"format": "harmonia-joint", "version": 1, "variables": ["head", "dep1"],
+                   "alphabets": [{"size": 2}, {"size": 2}],
+                   "probabilities": [[True, False], [False, False]]}),
         ("model", _copy_model_json(head_prior="ab")),
         ("model", _copy_model_json(cond_tables=[[[0.9, 0.1], [1.0]]])),
         ("model", _copy_model_json(head_alphabet={"size": "two"})),
@@ -440,7 +480,9 @@ def test_verify_input_rejects_nan_probabilities(capsys, tmp_path, document):
     ],
     ids=["sweep-size-text", "n-values-scalar", "tolerance-text", "seed-float",
          "workers-float", "timestamp-text", "n-values-repeated", "head-sizes-repeated",
-         "dep-sizes-repeated", "head-sizes-empty", "head-prior-text", "ragged-table", "size-text",
+         "dep-sizes-repeated", "head-sizes-empty", "tolerance-true", "seed-false",
+         "sweep-size-true", "n-values-true", "workers-true", "concentration-true",
+         "head-prior-bools", "size-true", "joint-bools", "head-prior-text", "ragged-table", "size-text",
          "dep-alphabets-scalar", "gen-negative-seed", "profile-tol-negative",
          "profile-tol-nan", "verify-tol-inf", "verify-head-sizes-empty",
          "verify-dep-sizes-empty"],
@@ -461,9 +503,17 @@ def test_malformed_input_exits_2(capsys, tmp_path, kind, content):
         argv = ["verify", flag, str(path), "--no-timestamp"]
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert err.startswith("error: ")
-    if kind in ("config", "model"):
-        assert str(path) in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if kind in ("config", "model", "joint"):
+        assert err.startswith(f"error: {path}: ")
+
+
+def test_a_config_may_still_set_timestamp_false(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"timestamp": False, "sweep_size": 1, "n_values": [1],
+                                  "head_sizes": [2], "dep_sizes": [2]}))
+    code, out, _ = run(capsys, "verify", "--config", str(config))
+    assert code == 0 and out.startswith("model_id,")
 
 
 @pytest.mark.parametrize(

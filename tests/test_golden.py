@@ -2,8 +2,9 @@
 
 Each case runs one command in a fresh directory, on inputs copied from
 ``tests/data/golden/``, and compares its stdout and stderr byte for byte with
-``<case>.stdout`` and ``<case>.stderr`` there; the witness files a failing
-sweep writes to ``w/`` are compared with ``<case>.w/``.  The sweep's elapsed
+``<case>.stdout`` and ``<case>.stderr`` there; the files a case writes to
+``w/`` (a failing sweep's witnesses, a generated model) are compared with
+``<case>.w/``.  The sweep's elapsed
 time is cut from stderr before the comparison.  The golden files were written
 once, each by the code before the change that added its case; a change that
 moves any printed figure fails here.  ``python tests/test_golden.py`` rewrites them
@@ -38,12 +39,22 @@ CASES = {
     "profile-remainder": (["profile", "model-n3.json", "--objective", "remainder", "--k", "2",
                            "--bits"], 0),
     "sample-score": (["sample", "model-n3.json", "--count", "1000", "--score-k", "2"], 0),
+    "gen-copy": (["gen", "copy", "--n", "2", "--noise", "0.1", "--bits",
+                  "--out", "w/model.json"], 0),
+    "gen-random-identical": (["gen", "random", "--n", "3", "--identical-channels", "--seed", "17",
+                              "--out", "w/model.json"], 0),
+    "gen-independent": (["gen", "independent", "--n", "2", "--out", "w/model.json"], 0),
+    "gen-counterexample": (["gen", "counterexample", "--bits", "--out", "w/model.json"], 0),
+    "gen-random-past-cap": (["gen", "random", "--n", "10", "--head-size", "5", "--dep-size", "5",
+                             "--out", "w/model.json"], 0),
+    "typology": (["typology"], 0),
 }
 
 
 def run_case(case: str, directory: Path) -> tuple[int, str, str]:
     """Exit code, stdout and stderr (elapsed time cut) of one case run in ``directory``;
-    its witnesses, if any, are left in ``directory / "w"``."""
+    the files it writes, if any, are left in ``directory / "w"``."""
+    (directory / "w").mkdir()
     for name in INPUTS:
         shutil.copy(GOLDEN / name, directory / name)
     out, err = io.StringIO(), io.StringIO()
@@ -65,7 +76,7 @@ def test_output_matches_golden_bytes(case, tmp_path):
     assert out.encode() == (GOLDEN / f"{case}.stdout").read_bytes()
     assert err.encode() == (GOLDEN / f"{case}.stderr").read_bytes()
     written, golden = tmp_path / "w", GOLDEN / f"{case}.w"
-    names = sorted(p.name for p in written.iterdir()) if written.exists() else []
+    names = sorted(p.name for p in written.iterdir())
     assert names == (sorted(p.name for p in golden.iterdir()) if golden.exists() else [])
     for name in names:
         assert (written / name).read_bytes() == (golden / name).read_bytes()
@@ -76,7 +87,7 @@ if __name__ == "__main__":  # rewrite the golden files from the current tree
         with tempfile.TemporaryDirectory() as tmp:
             _, out, err = run_case(name, Path(tmp))
             shutil.rmtree(GOLDEN / f"{name}.w", ignore_errors=True)
-            if (Path(tmp) / "w").exists():
+            if any((Path(tmp) / "w").iterdir()):
                 shutil.copytree(Path(tmp) / "w", GOLDEN / f"{name}.w")
         (GOLDEN / f"{name}.stdout").write_bytes(out.encode())
         (GOLDEN / f"{name}.stderr").write_bytes(err.encode())

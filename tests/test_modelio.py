@@ -193,6 +193,15 @@ MALFORMED = {
                          _model_file("head_alphabet: size must be an integer, got 'two'")),
     "ragged-prior": (_edited(_MODEL, head_prior=[0.5, [0.5]]),
                      _model_file("head_prior: expected a regular array of numbers")),
+    # JSON true/false is not a number, even where it would read as 1 or 0.
+    "bool-prior": (_edited(_MODEL, head_prior=[True, False]),
+                   _model_file("head_prior: expected a regular array of numbers")),
+    "bool-row": (_edited(_MODEL, cond_tables=[[[0.9, 0.1], [False, True]]] * 2),
+                 _model_file("cond_tables[0]: expected a regular array of numbers")),
+    "size-bool": (_edited(_MODEL, head_alphabet={"size": True}),
+                  _model_file("head_alphabet: size must be an integer, got True")),
+    "joint-bools": (_edited(_JOINT, probabilities=[[[True, False], [False, False]]] * 2),
+                    _joint_file("probabilities: expected a regular array of numbers")),
     "alphabets-not-list": (_edited(_MODEL, dep_alphabets=5),
                            _model_file("'int' object is not iterable")),
     "joint-missing-field": (_edited(_JOINT, probabilities=None),
