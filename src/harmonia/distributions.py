@@ -68,7 +68,7 @@ def as_integer(value: object) -> int:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """A finite value set ``{0, ..., size - 1}`` with optional display labels."""
+    """A finite value set ``{0, ..., size - 1}`` with optional distinct string labels."""
 
     size: int
     labels: tuple[str, ...] | None = None
@@ -82,6 +82,8 @@ class Alphabet:
                 raise ValidationError(
                     f"alphabet has {self.size} values but {len(self.labels)} labels"
                 )
+            if len({x for x in self.labels if isinstance(x, str)}) < self.size:
+                raise ValidationError(f"labels must be distinct strings, got {list(self.labels)}")
 
     def label(self, value: int) -> str:
         if not 0 <= value < self.size:

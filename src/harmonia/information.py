@@ -14,10 +14,9 @@ noise.  A source is anything with a memoised ``entropy_of(mask)``: a
 ``JointTable``, which sums it out of the joint.
 
 Symmetry of mutual information is bit-exact by construction: swapping X and
-Y swaps the two leading terms, and IEEE addition commutes.  Identities that
-hold by construction prove nothing about the entropies, so ``direct_mi_of``
-keeps an independent path, a direct summation over a dense joint's marginal,
-for the checks that compare against it.
+Y swaps the two leading terms, and IEEE addition commutes.  So a symmetry
+check compares I(X; Y) from the entropies with I(Y; X) from ``direct_mi_of``,
+an independent path that sums directly over a dense joint's marginal.
 
 The public measures take a joint table and groups of variables (each one
 ``Variable`` or an iterable of distinct ones) and validate them; each

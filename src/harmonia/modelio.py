@@ -54,6 +54,8 @@ def _alphabet_from_json(obj: Any, where: str) -> Alphabet:
     except TypeError:
         raise ValidationError(f"{where}: size must be an integer, got {obj['size']!r}") from None
     labels = obj.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValidationError(f"{where}: labels must be a list or null, got {labels!r}")
     return Alphabet(size=size, labels=tuple(labels) if labels else None)
 
 

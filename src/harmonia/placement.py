@@ -11,7 +11,9 @@ Each relation compares two mutual informations, and each inequality becomes
 an equality exactly when one Markov chain X -> Y -> Z holds (the
 data-processing condition).  A check carries that chain as data: it is
 diagnosed on the same entropies when the two sides are close, and its
-display text (``head -> dep1 -> dep2..3``) is derived from it.
+display text (``head -> dep1 -> dep2..3``) is derived from it.  A statement
+whose sides are the same entropies, such as I(head; dep1) against
+I(dep1; head), could catch no error, so a plan has no row for it.
 
 Which relations apply depends only on ``n`` and the stage.  So each family
 is stated once, as a plan: ``PlanEntry`` rows whose sides are axis bitmasks
@@ -307,35 +309,34 @@ def _dependents(source: EntropySource) -> int:
 
 def remainder_plan(n: int) -> list[PlanEntry]:
     """The plan of ``remainder_relation_checks`` for ``n`` dependents."""
-    relation = Relation.EQ if n == 1 else Relation.GE  # n = 1: both are MI symmetry
     all_deps, rest, lead = deps_mask(1, n), deps_mask(2, n), deps_mask(1, n - 1)
     return [
-        PlanEntry("remainder", "remainder k=1 (head first)", relation, (HEAD_MASK, all_deps),
-                  (1 << 1, HEAD_MASK | rest), chain=(HEAD_MASK, 1 << 1, rest) if n > 1 else None),
-        PlanEntry("remainder", f"remainder k={n} (head last)", relation, (all_deps, HEAD_MASK),
-                  (HEAD_MASK | lead, 1 << n), chain=(lead, 1 << n, HEAD_MASK) if n > 1 else None),
-    ]
+        PlanEntry("remainder", "remainder k=1 (head first)", Relation.GE, (HEAD_MASK, all_deps),
+                  (1 << 1, HEAD_MASK | rest), chain=(HEAD_MASK, 1 << 1, rest)),
+        PlanEntry("remainder", f"remainder k={n} (head last)", Relation.GE, (all_deps, HEAD_MASK),
+                  (HEAD_MASK | lead, 1 << n), chain=(lead, 1 << n, HEAD_MASK)),
+    ] if n > 1 else []
 
 
 def remainder_relation_checks(
     source: EntropySource, tol: float = DEFAULT_TOLERANCE
-) -> tuple[RelationCheck, RelationCheck]:
+) -> tuple[RelationCheck, ...]:
     """The two boundary remainder relations, evaluated on a factored model or
     on any joint over head, dep1..n (in that axis order).
 
     Head-first: producing the head first tells you at least as much about the
     rest as producing the first dependent would, I(head; deps) >=
     I(dep1; head + other deps).  Head-last: the mirror image at the final
-    stage.  For n = 1 both reduce to plain MI symmetry and are reported as
-    equalities.  On a non-factored joint either relation can fail, which is
-    exactly what these checks are for.
+    stage.  For n = 1 both read I(head; dep1) against I(dep1; head), the same
+    entropies, so there is no check.  On a non-factored joint either relation
+    can fail, which is exactly what these checks are for.
     """
     return tuple(_evaluate(source, remainder_plan(_dependents(source)), tol))
 
 
 def verify_remainder_theorem(
     model: FactoredModel, tol: float = DEFAULT_TOLERANCE
-) -> tuple[RelationCheck, RelationCheck]:
+) -> tuple[RelationCheck, ...]:
     """Remainder relations on the exact entropies of a factored model."""
     return remainder_relation_checks(model, tol)
 
@@ -447,14 +448,14 @@ def lattice_plan(n: int, k: int) -> list[PlanEntry]:
         (1, "head-predictability-grows", Relation.LE, "head_pred_k", "head_pred_k1",
          (dep_k1, first_k, HEAD_MASK), False),
         (2, "head-beats-dep-at-k", Relation.LE, "dep_with_head_k", "head_pred_k",
-         None if k == 1 else (HEAD_MASK, dep_k, lead), False),
+         (HEAD_MASK, dep_k, lead), False),
         (3, "head-beats-dep-at-k+1", Relation.LE, "dep_with_head_k1", "head_pred_k1",
          (HEAD_MASK, dep_k1, first_k), False),
         # Equal when the pending slots are identically distributed given the head.
         (4, "produced-deps-do-not-help", Relation.EQ, "dep_with_head_k", "dep_with_head_k1",
          None, True),
         (5, "early-head-helps-at-k", Relation.LE, "dep_without_head_k", "dep_with_head_k",
-         (HEAD_MASK, first_k, dep_k1), True),
+         (HEAD_MASK, first_k, dep_k1) if k > 1 else (dep_k, dep_k1, HEAD_MASK), k > 1),
         (6, "early-head-helps-at-k+1", Relation.LE, "dep_without_head_k1", "dep_with_head_k1",
          (HEAD_MASK, first_k | dep_k1, dep_k2), True),
         (7, "dep-predictability-grows", Relation.LE, "dep_without_head_k",
@@ -464,6 +465,7 @@ def lattice_plan(n: int, k: int) -> list[PlanEntry]:
         PlanEntry("lattice", f"lattice k={k} ({number}) {title}", relation, cell[lhs], cell[rhs],
                   chain=chain, cross_slot=cross_slot)
         for number, title, relation, lhs, rhs, chain, cross_slot in rows[: 7 if k + 2 <= n else 5]
+        if k > 1 or number != 2  # at k = 1, (2) reads I(head; dep1) <= I(dep1; head)
     ]
 
 
@@ -474,11 +476,11 @@ def lattice_report(
 
     Relations (1) head predictability grows, (2)/(3) the produced head beats
     the produced dependents at the current slot, hold on every factored
-    model.  Relations (4) produced dependents do not help, (5)/(6) an early
-    head helps pending dependents, and (7) pending-dependent predictability
-    grows, compare different dependent slots and are guaranteed under
-    identical channels.  (6) and (7) need a slot ``k + 2`` and are left out
-    at ``k = n - 1``.
+    model; at ``k = 1``, (2) reads I(head; dep1) <= I(dep1; head) and has no
+    row.  Relations (4) produced dependents do not help, (5)/(6) an early head
+    helps pending dependents, and (7) pending-dependent predictability grows,
+    compare different slots and are guaranteed under identical channels; (5)
+    at ``k = 1`` has slack I(dep1; head | dep2).  (6) and (7) need a slot ``k + 2``.
     """
     n = model.n
     if not 1 <= k < n:

@@ -12,22 +12,22 @@ guaranteed for the model's regime:
   comparisons because they can genuinely fail there.
 
 ``battery_plan`` states those relations once per (n, regime) as a plan over
-axis bitmasks; ``theorem_battery`` evaluates it on the model's own subset
-entropies, read off its factors, adds the harmony rows from the same
-entropies and the identity rows, which compare them with direct summation on
-the dense joint (each sum once), and sorts the rows by (theorem, relation).  A report row is
-``(model_id, theorem, check)``, the check a ``RelationCheck``.  With the
-models in model_id order the report is sorted, so reruns with the same config
-are byte-identical apart from an optional timestamp comment.  A ``RunConfig``
-checks each grid cell through its ``ModelSpec``.  A failing model, found in one
-pass over the rows, is serialised next to the report for a post-mortem.
+axis bitmasks, none with the same entropies on both sides; ``theorem_battery``
+evaluates it on the model's own entropies, read off its factors, adds the
+harmony rows and the identity rows, which compare those entropies with sums
+made directly on the dense joint (each once), and sorts the rows by (theorem,
+relation).  A report row is ``(model_id, theorem, check)``, the check a
+``RelationCheck``.  With the models in model_id order the report is sorted,
+so reruns with the same config are byte-identical apart from an optional
+timestamp comment.  A ``RunConfig`` checks each grid cell through its
+``ModelSpec``.  A failing model, found in one pass over the rows, is
+serialised next to the report for a post-mortem.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import math
 import os
 import time
 from dataclasses import dataclass, fields
@@ -43,7 +43,8 @@ from .distributions import (
     as_integer,
     check_factorization,
 )
-from .information import DEFAULT_TOLERANCE, chain_rule_residual_of, direct_mi_of
+from .information import (
+    DEFAULT_TOLERANCE, chain_rule_residual_of, check_tolerance, direct_mi_of, mi_of)
 from .generators import ModelSpec, derive_seed, random_model
 from .placement import (
     HEAD_MASK,
@@ -120,9 +121,7 @@ class RunConfig:
             raise ValidationError(f"out must be a path string, got {self.out!r}")
         if not isinstance(self.timestamp, bool):
             raise ValidationError(f"timestamp must be true or false, got {self.timestamp!r}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValidationError(
-                f"tolerance must be a positive finite number, got {self.tolerance}")
+        check_tolerance(self.tolerance)
         if self.sweep_size < 1:
             raise ValidationError(f"sweep size must be >= 1, got {self.sweep_size}")
         for name in lists:
@@ -175,9 +174,11 @@ def _names(first: int, last: int) -> str:
 @cache
 def battery_plan(n: int, identical_channels: bool) -> tuple[PlanEntry, ...]:
     """The battery's entropy-table relations for ``n`` dependents, built once
-    per (n, regime).  The entries marked ``cross_slot`` (full pending part 1
-    and lattice relations 4..7) are included exactly when the dependents
-    share one conditional table.
+    per (n, regime).  The ``cross_slot`` entries are included exactly when the
+    dependents share one conditional table.  Pending part 1 at k = 1 reads
+    I(head; dep j) <= I(dep1; head), the same sums when j = 1 or the channels
+    are identical, so only j = 1 keeps it: ``perfbench/checks.py::check_exact``
+    reads I(head; dep1) there.
     """
     # Dependents are independent given the head: prefix splits, then pairs
     # (for n = 2 the one pair is the k=1 split, so it is checked once).
@@ -193,7 +194,7 @@ def battery_plan(n: int, identical_channels: bool) -> tuple[PlanEntry, ...]:
     plan += remainder_plan(n)
     for k in range(1, n + 1):
         for j in range(k, n + 1):
-            plan += pending_plan(k, j)
+            plan += pending_plan(k, j)[1 if k == 1 < j else 0:]
             if j > k:
                 plan += irrelevance_plan(k, j)
     for k in range(1, n):
@@ -214,11 +215,10 @@ def theorem_battery(
     out = [(e.theorem, check) for e, check in zip(plan, _evaluate(model, plan, tol))]
 
     # Exact identities of the information measures: MI is symmetric, and the
-    # chain rule holds.  The model's entropies satisfy them by construction,
-    # so symmetry is checked on the direct-summation path over the dense
-    # joint, and the chain rule compares that path with the model's
-    # entropies.  These are the only rows that build the joint, after the plan.
-    joint = model.joint
+    # chain rule holds.  The model's entropies satisfy both by construction,
+    # so each row compares them with the direct-summation path over the dense
+    # joint, symmetry with the two sides swapped.  These are the only rows
+    # that build the joint, after the plan.
     first, rest = 1 << 1, deps_mask(2, n)
     symmetric = [("symmetry head-vs-deps", HEAD_MASK, deps_mask(1, n))]
     residuals = []
@@ -227,8 +227,9 @@ def theorem_battery(
         residuals = [("chain-rule deps-about-head", first, rest, HEAD_MASK),
                      ("chain-rule head+dep1-about-rest", HEAD_MASK, first, rest)]
     # Each sum once: "chain-rule deps-about-head" sums the rhs of "symmetry head-vs-deps".
-    direct = cache(lambda x, y: direct_mi_of(joint, x, y))
-    out += [("identity", relation_check(name, Relation.EQ, direct(x, y), direct(y, x), 0.0))
+    direct = cache(lambda x, y: direct_mi_of(model.joint, x, y))
+    out += [("identity", relation_check(name, Relation.EQ, mi_of(model, x, y),
+                                        direct(y, x), tol))
             for name, x, y in symmetric]
     out += [("identity", relation_check(name, Relation.EQ, chain_rule_residual_of(
                 direct(m1 | m2, my), model, m1, m2, my), 0.0, tol))
@@ -243,18 +244,12 @@ def theorem_battery(
     dependent = optimal_head_position(
         model, Objective.DEPENDENT_PREDICTABILITY, aggregate=aggregate
     ).scores
-    harmony = [
-        relation_check("head-last attains head-predictability max", Relation.EQ,
-                       max(head), head[n], tol),
-        relation_check("head-first attains dependent-predictability max", Relation.EQ,
-                       max(dependent), dependent[0], tol),
+    out += [
+        ("harmony", relation_check("head-last attains head-predictability max", Relation.EQ,
+                                   max(head), head[n], tol)),
+        ("harmony", relation_check("head-first attains dependent-predictability max",
+                                   Relation.EQ, max(dependent), dependent[0], tol)),
     ]
-    if n == 1:
-        # A single dependent: both orders give I(head; dep1), by symmetry.
-        remainder = optimal_head_position(model, Objective.REMAINDER_AT_K, k=1).scores
-        harmony.append(relation_check("n=1 head-first equals head-last", Relation.EQ,
-                                      remainder[0] - remainder[1], 0.0, INDEPENDENCE_TOL))
-    out += [("harmony", check) for check in harmony]
     return sorted(out, key=lambda pair: (pair[0], pair[1].name))
 
 

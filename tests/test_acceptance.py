@@ -274,7 +274,8 @@ def test_criterion_7_plug_in_mi_converges(capsys):
 
 
 def test_criterion_8_exact_identities_hold_everywhere(capsys, full_sweep):
-    """Symmetry is bit-exact; chain rule and conditional independence are numeric zeros."""
+    """Symmetry across the entropy and direct paths, the chain rule and
+    conditional independence are numeric zeros."""
     symmetry = [
         check for _, theorem, check in full_sweep.rows
         if theorem == "identity" and check.name.startswith("symmetry")
@@ -290,13 +291,13 @@ def test_criterion_8_exact_identities_hold_everywhere(capsys, full_sweep):
         len(symmetry) >= 2000
         and len(chain) >= 2000
         and len(indep) >= 5000
-        and all(r.slack == 0.0 for r in symmetry)
+        and all(abs(r.slack) <= 1e-12 for r in symmetry)
         and all(abs(r.slack) <= 1e-9 for r in chain)
         and all(abs(r.slack) <= 1e-12 for r in indep)
     )
     assert verdict(
         capsys, 8, ok,
-        f"{len(symmetry)} symmetry rows bit-exact; {len(chain)} chain-rule rows and "
+        f"{len(symmetry)} symmetry, {len(chain)} chain-rule and "
         f"{len(indep)} conditional-independence rows at numeric zero",
-        "symmetry exact (0 ulp); chain rule 1e-9; independence 1e-12 nats",
+        "symmetry 1e-12; chain rule 1e-9; independence 1e-12 nats",
     )

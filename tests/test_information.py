@@ -115,6 +115,8 @@ def test_mi_symmetry_is_bit_exact(seed):
     ]
     for x, y in groups:
         assert mutual_information(joint, x, y) == mutual_information(joint, y, x)
+        mx, my = (sum(1 << joint.axis_of(v) for v in group) for group in (x, y))
+        assert direct_mi_of(joint, mx, my) == direct_mi_of(joint, my, mx)
 
 
 def test_direct_mi_survives_an_underflowing_product():

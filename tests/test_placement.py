@@ -23,7 +23,9 @@ from harmonia import (
 )
 from harmonia.distributions import Alphabet, FactoredModel, JointTable
 from harmonia.generators import correlated_pair_counterexample
+from harmonia.information import mi_of
 from harmonia.placement import (
+    HEAD_MASK,
     Objective,
     Relation,
     lattice_report,
@@ -161,11 +163,10 @@ def test_slack_and_holds_follow_the_sides(relation, lhs, rhs, tol, slack, holds)
 # -- remainder relations ---------------------------------------------------------
 
 
-def test_remainder_single_dependent_reports_equality():
-    first, last = verify_remainder_theorem(copy_model(1, 2, 0.3))
-    assert first.relation is Relation.EQ and last.relation is Relation.EQ
-    assert abs(first.lhs - first.rhs) <= 1e-12
-    assert abs(last.lhs - last.rhs) <= 1e-12
+def test_remainder_single_dependent_has_no_check():
+    """At n = 1 both relations read I(head; dep1) against I(dep1; head)."""
+    assert verify_remainder_theorem(copy_model(1, 2, 0.3)) == ()
+    assert all(c.relation is Relation.GE for c in verify_remainder_theorem(copy_model(2, 2, 0.3)))
 
 
 def test_remainder_equality_model_diagnoses_the_chain():
@@ -336,12 +337,16 @@ def test_irrelevance_range_validation():
 
 
 def test_lattice_cells_and_na_relations():
-    """Relations (6) and (7) need a slot k + 2, so k = n - 1 leaves them out."""
+    """Relations (6) and (7) need a slot k + 2, so k = n - 1 leaves them out;
+    (2) reads I(head; dep1) <= I(dep1; head) at k = 1 and has no row there."""
     checks = lattice_report(copy_model(2, 2, 0.1), 1)
-    assert [c.name.split()[2] for c in checks] == ["(1)", "(2)", "(3)", "(4)", "(5)"]
+    assert [c.name.split()[2] for c in checks] == ["(1)", "(3)", "(4)", "(5)"]
 
     checks = lattice_report(copy_model(3, 2, 0.1), 1)
-    assert [c.name.split()[2] for c in checks] == [f"({i})" for i in range(1, 8)]
+    assert [c.name.split()[2] for c in checks] == ["(1)"] + [f"({i})" for i in range(3, 8)]
+
+    checks = lattice_report(copy_model(3, 2, 0.1), 2)
+    assert [c.name.split()[2] for c in checks] == [f"({i})" for i in range(1, 6)]
 
 
 def test_lattice_stage_bounds():
@@ -364,6 +369,25 @@ def test_lattice_relation4_fails_without_identical_channels():
     assert not rel4.holds
     assert rel4.lhs == pytest.approx(0.0, abs=1e-12)
     assert rel4.rhs == pytest.approx(LN2, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lattice_relation5_at_k1_holds_on_per_slot_models(n):
+    """At k = 1, (5) reads I(dep1; dep2) <= I(head; dep1); dep1 -> head ->
+    dep2 is a Markov chain, so the slack is I(dep1; head | dep2) >= 0 and the
+    relation needs no shared table."""
+    for seed in range(5):
+        model = heterogeneous(seed, n=n, dep_sizes=(2, 3, 2, 3)[:n])
+        (rel5,) = [c for c in lattice_report(model, 1) if "(5)" in c.name]
+        assert rel5.holds and rel5.equality_condition == "dep1 -> dep2 -> head"
+        assert rel5.slack == pytest.approx(mi_of(model, 1 << 1, HEAD_MASK, 1 << 2), abs=1e-12)
+
+
+def test_lattice_relation5_at_k2_fails_without_identical_channels():
+    model = random_model(ModelSpec(n=3, head_size=3, dep_sizes=3, seed=42))
+    (rel5,) = [c for c in lattice_report(model, 2) if "(5)" in c.name]
+    assert not model.has_identical_channels
+    assert rel5.slack < -0.01
 
 
 @pytest.mark.parametrize("seed", range(20))

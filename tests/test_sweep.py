@@ -1,7 +1,9 @@
 """Sweep configuration, the per-model battery, and report output."""
 
+import collections
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -20,7 +22,6 @@ from harmonia import (
     build_joint,
     copy_model,
     dep,
-    independent_model,
     optimal_head_position,
     placement_profile,
     random_model,
@@ -28,7 +29,7 @@ from harmonia import (
 )
 from harmonia.distributions import Alphabet, FactoredModel, JointTable
 from harmonia.generators import correlated_pair_counterexample
-from harmonia.information import is_markov_chain
+from harmonia.information import direct_mi_of, is_markov_chain, mi_of
 from harmonia.placement import (
     Objective,
     Relation,
@@ -78,8 +79,7 @@ def test_config_defaults_give_a_thousand_models():
 def test_config_validation():
     with pytest.raises(ValidationError):
         RunConfig(sweep_size=0)
-    with pytest.raises(ValidationError):
-        RunConfig(tolerance=0.0)
+    assert RunConfig(tolerance=0.0).tolerance == 0.0  # an exact sweep
     with pytest.raises(ValidationError):
         RunConfig(n_values=())
     with pytest.raises(ValidationError):
@@ -163,47 +163,108 @@ def test_battery_excludes_cross_slot_relations_by_default():
             k = int(name.split("k=")[1].split(" ")[0])
             j = int(name.split("j=")[1])
             assert j == k
-        assert "(4)" not in name and "(5)" not in name
+        assert "(4)" not in name and ("(5)" not in name or "k=1 " in name)
         assert "(6)" not in name and "(7)" not in name
+    assert "lattice k=1 (5) early-head-helps-at-k" in names
     assert all(check.holds for _, check in theorem_battery(model))
 
 
 def test_battery_includes_cross_slot_relations_for_shared_channels():
     names = [check.name for _, check in theorem_battery(copy_model(3, 2, 0.1))]
-    assert any("part1 k=1 j=3" in n for n in names)
+    assert any("part1 k=2 j=3" in n for n in names)
     assert any("(4)" in n for n in names)
     assert any("(7)" in n for n in names)
 
 
 def test_cross_slot_marks_exactly_the_slot_comparing_relations():
-    """The field set where a plan entry is built agrees with the relations' names."""
+    """The field set where a plan entry is built agrees with the relations' names;
+    (5) compares different slots only past k = 1."""
     for entry in battery_plan(4, True):
         name = entry.name
-        slot_comparing = any(f"({num})" in name for num in (4, 5, 6, 7))
+        slot_comparing = any(f"({num})" in name for num in (4, 6, 7)) or (
+            "(5)" in name and "k=1 " not in name)
         if "part1" in name:
             slot_comparing = name.split("k=")[1].split(" ")[0] != name.split("j=")[1]
         assert entry.cross_slot == slot_comparing, name
 
 
-def test_battery_n1_has_the_symmetry_harmony_check():
+def _terms(side, identical):
+    """The signed entropy terms of one plan side: I(X; Y | Z) is
+    H(XZ) + H(YZ) - H(XYZ) - H(Z), with H of the empty set dropped.  Under
+    identical channels an entropy depends only on the head bit and the number
+    of dependents, so a mask is keyed by that pair."""
+    x, y, z = (*side, 0)[:3]
+    terms = collections.Counter()
+    for mask, sign in ((x | z, 1), (y | z, 1), (x | y | z, -1), (z, -1)):
+        if mask:
+            terms[(mask & 1, (mask >> 1).bit_count()) if identical else mask] += sign
+    return {key: count for key, count in terms.items() if count}
+
+
+@pytest.mark.parametrize("identical", [True, False])
+def test_no_battery_row_compares_the_same_entropy_terms(identical):
+    """A row whose sides are the same entropies equals itself bit for bit and
+    can catch no error."""
+    for n in range(1, 7):
+        same = [e.name for e in battery_plan(n, identical)
+                if _terms(e.lhs, identical) == _terms(e.rhs, identical)]
+        # The one exemption: perfbench/checks.py::check_exact reads I(head; dep1) off it.
+        assert same == ["pending part1 k=1 j=1"], n
+
+
+@pytest.mark.parametrize("identical", [True, False])
+def test_every_reversed_inequality_fails_on_a_seeded_model(identical):
+    """The mutation gate: each LE/GE entry of the plan, reversed, fails
+    (slack < -1e-9) on at least one of 20 seeded models, so each row could
+    catch a wrong relation."""
+    flipped = {Relation.LE: Relation.GE, Relation.GE: Relation.LE}
+    for n in range(2, 5):
+        mutants = [e._replace(relation=flipped[e.relation])
+                   for e in battery_plan(n, identical) if e.relation in flipped]
+        caught = set()
+        for seed, concentration in itertools.product(range(10), (1.0, 0.3)):
+            model = random_model(ModelSpec(n=n, head_size=3, dep_sizes=3, seed=seed,
+                                           concentration=concentration,
+                                           identical_channels=identical))
+            caught |= {c.name for c in _evaluate(model, mutants, 1e-9) if not c.holds}
+        assert sorted({e.name for e in mutants} - caught) == [], n
+
+
+def test_battery_n1_has_no_row_true_by_construction():
+    """At n = 1 the remainder rows and the head-first/head-last comparison
+    were MI symmetry on the same entropies; symmetry is now checked across
+    the two paths."""
     pairs = theorem_battery(copy_model(1, 2, 0.2))
-    names = [check.name for _, check in pairs]
-    assert "n=1 head-first equals head-last" in names
+    assert [(theorem, check.name) for theorem, check in pairs] == [
+        ("harmony", "head-first attains dependent-predictability max"),
+        ("harmony", "head-last attains head-predictability max"),
+        ("identity", "symmetry head-vs-deps"),
+        ("pending", "pending part1 k=1 j=1"),
+    ]
     assert all(check.holds for _, check in pairs)
 
 
-def test_battery_identity_checks_are_bit_exact():
-    for _, check in theorem_battery(independent_model(3)):
-        if check.name.startswith("symmetry"):
-            assert check.tolerance == 0.0
-            assert check.lhs == check.rhs
+def test_battery_symmetry_rows_compare_the_two_paths():
+    """lhs is I(X; Y) from the model's entropies, rhs I(Y; X) summed directly
+    on the dense joint; they agree within rounding, at the sweep tolerance."""
+    model = random_model(ModelSpec(n=3, head_size=3, dep_sizes=2, seed=4))
+    masks = {"symmetry head-vs-deps": (1, 0b1110), "symmetry dep1-vs-rest": (0b10, 0b1101)}
+    rows = [check for _, check in theorem_battery(model, tol=1e-10)
+            if check.name.startswith("symmetry")]
+    assert sorted(check.name for check in rows) == sorted(masks)
+    for check in rows:
+        x, y = masks[check.name]
+        assert check.tolerance == 1e-10
+        assert check.lhs == mi_of(model, x, y)
+        assert check.rhs == direct_mi_of(model.joint, y, x)
+        assert abs(check.slack) <= 1e-12
 
 
 def test_battery_sums_each_direct_mi_once(monkeypatch):
     """The chain-rule row deps-about-head sums the rhs of symmetry
-    head-vs-deps; the battery sums it once, so 5 direct sums at n >= 2 and 2
+    head-vs-deps; the battery sums it once, so 3 direct sums at n >= 2 and 1
     at n = 1, with the same rows."""
-    for n, sums in ((1, 2), (2, 5), (3, 5)):
+    for n, sums in ((1, 1), (2, 3), (3, 3)):
         model = random_model(ModelSpec(n=n, head_size=3, dep_sizes=2, seed=n))
         expected = theorem_battery(model)
         calls = []
@@ -237,6 +298,7 @@ def test_an_exact_check_takes_tolerance_zero():
 def test_every_check_refuses_a_tolerance_that_is_not_finite_and_non_negative(tol):
     model = copy_model(3, 2, 0.1)
     calls = [
+        lambda: RunConfig(tolerance=tol),
         lambda: theorem_battery(model, tol=tol),
         lambda: checks_for_joint(correlated_pair_counterexample(), tol),
         lambda: remainder_relation_checks(model, tol),
@@ -322,8 +384,6 @@ def _expected_sides(name, joint, n):
         first = min(mi(head, [dep(i)]) for i in range(1, n + 1))
         later = min((mi([dep(1)], [dep(i)]) for i in range(2, n + 1)), default=0.0)
         return max(first, later), first
-    if name == "n=1 head-first equals head-last":
-        return mi(head, [dep(1)]) - mi([dep(1)], head), 0.0
     return None
 
 
@@ -365,8 +425,8 @@ def test_battery_sides_match_the_brute_force_oracle(model):
         assert check.lhs == pytest.approx(expected[0], abs=1e-12), check.name
         assert check.rhs == pytest.approx(expected[1], abs=1e-12), check.name
         checked.add(theorem)
-    families = {"remainder", "pending", "harmony"}
-    assert checked == families | ({"irrelevance", "lattice"} if model.n > 1 else set())
+    families = {"pending", "harmony"}
+    assert checked == families | ({"remainder", "irrelevance", "lattice"} if model.n > 1 else set())
 
 
 def test_models_of_one_n_and_regime_share_one_plan(monkeypatch):
@@ -426,8 +486,8 @@ def test_plan_harmony_and_profiles_never_build_the_dense_joint(monkeypatch, iden
 
 
 def test_identity_rows_compare_the_dense_joint_with_the_model_entropies():
-    """Wrong model entropies fail the chain-rule rows, which sum the left
-    side directly on the dense joint; symmetry rows read only the joint."""
+    """Wrong model entropies fail every identity row: each compares them with
+    a sum made directly on the dense joint."""
     model = random_model(ModelSpec(n=3, head_size=3, dep_sizes=2, seed=11))
     theorem_battery(model)
     rng = np.random.default_rng(0)
@@ -436,8 +496,7 @@ def test_identity_rows_compare_the_dense_joint_with_the_model_entropies():
             model._entropies[mask] += rng.uniform(1e-6, 1e-5)
     identity = {check.name: check for theorem, check in theorem_battery(model)
                 if theorem == "identity"}
-    assert not any(check.holds for name, check in identity.items() if name.startswith("chain"))
-    assert all(check.holds for name, check in identity.items() if name.startswith("symmetry"))
+    assert len(identity) == 4 and not any(check.holds for check in identity.values())
 
 
 def test_dropping_a_model_frees_its_joint_without_the_cycle_collector():

@@ -1,4 +1,5 @@
-"""Every harmonia name the benchmark's tracer wraps still exists.
+"""Every harmonia name the benchmark's tracer wraps still exists, and every
+report row the benchmark's exact check reads is still stated.
 
 ``perfbench/run.py --trace 1`` installs its tracer by looking these names up;
 one that a refactor removes makes the traced run fail at start-up.  This
@@ -11,6 +12,8 @@ import inspect
 from pathlib import Path
 
 import pytest
+
+from harmonia.sweep import battery_plan
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -57,3 +60,14 @@ def test_size_hook_names_the_traced_parameter(name):
     param, index = tracing._SIZES[name].out_arg
     for fn in traced:
         assert list(inspect.signature(fn).parameters)[index] == param, fn
+
+
+@pytest.mark.parametrize("identical", [True, False])
+def test_battery_states_the_rows_the_exact_check_reads(identical):
+    """``perfbench/checks.py::check_exact`` reads I(head; dep j) and I(head; deps)
+    off these rows of an n=8 ``verify --input`` report; a plan that drops one
+    fails the benchmark with ``outputs_incorrect``."""
+    n = 8
+    needed = {"remainder k=1 (head first)", "pending part1 k=1 j=1"}
+    needed |= {f"irrelevance k=1 j={j}" for j in range(2, n + 1)}
+    assert needed <= {entry.name for entry in battery_plan(n, identical)}
