@@ -5,8 +5,8 @@ element is drawn from a prior, then each of ``n`` dependents is drawn
 independently from a conditional table given the head.  Every information
 measure is arithmetic on subset entropies (``entropy_of(mask)``), and two
 objects give them exactly.  A ``FactoredModel`` builds each subset's marginal
-from the head prior and that subset's own conditional tables, which the
-relation checks, the head-position search and the profiles read.  A
+from the head prior and that subset's own conditional tables, for the models
+of a sweep cell at once (``memoise_entropies``) or for one alone.  A
 ``JointTable`` sums the marginal out of a dense joint; it serves joint files,
 sampling and scoring, and the direct-summation path that the identity checks
 compare against.  Every dense product, the joint and each of the model's
@@ -33,6 +33,9 @@ import numpy as np
 
 #: Cap on the number of cells a dense joint table may hold.
 MAX_JOINT_CELLS = 10_000_000
+
+#: Most cells one batched product of ``memoise_entropies`` holds, counting the models axis.
+_BATCH_CELLS = 1 << 16
 
 #: Tolerance for "these probabilities sum to one" checks at construction time.
 PROB_SUM_TOL = 1e-12
@@ -175,17 +178,6 @@ class EntropySource(Protocol):
         """Entropy, in nats, of the marginal over the axes set in ``mask``."""
 
 
-def _entropy(p: np.ndarray) -> float:
-    """Shannon entropy, in nats, of the cells of ``p``, with ``0 * log 0 = 0``.
-
-    The cells are summed in C order without the zeros, from a view of ``p``
-    when it has none."""
-    p = p.ravel() if p.min() > 0.0 else p[p > 0.0]
-    terms = np.log(p)
-    terms *= p
-    return -float(terms.sum())
-
-
 def _check_cells(shape: Sequence[int]) -> None:
     """Refuse a dense table of ``shape`` above ``MAX_JOINT_CELLS`` cells."""
     cells = math.prod(shape)
@@ -195,16 +187,50 @@ def _check_cells(shape: Sequence[int]) -> None:
 
 def _product(head_prior: np.ndarray, tables: Sequence[np.ndarray]) -> np.ndarray:
     """p(head) times each table's p(dep | head): the joint over the head and
-    those dependents, one axis each in the order given.  A product above
-    ``MAX_JOINT_CELLS`` cells is refused before any memory is allocated."""
-    _check_cells((head_prior.shape[0], *(table.shape[1] for table in tables)))
+    those dependents, one axis each in the order given, per model when every
+    array has a leading models axis.  A product above ``MAX_JOINT_CELLS``
+    cells per model is refused before any memory is allocated."""
+    _check_cells((head_prior.shape[-1], *(table.shape[-1] for table in tables)))
     probs = head_prior
     for i, table in enumerate(tables):
-        # probs has shape (head, d1..di-1); append the axis for dependent i.
+        # probs has shape (..., head, d1..di-1); append the axis for dependent i.
         probs = probs[..., np.newaxis] * table.reshape(
-            (head_prior.shape[0],) + (1,) * i + (table.shape[1],)
-        )
+            table.shape[:-1] + (1,) * i + table.shape[-1:])
     return probs
+
+
+def _row_entropies(p: np.ndarray) -> list[float]:
+    """Shannon entropy, in nats, of each ``p[i]``, with ``0 * log 0 = 0``: its
+    cells summed in C order without zeros, those of the rows without a zero
+    together, from a view of ``p``."""
+    flat = p.reshape(len(p), -1)
+    whole = (flat.min(axis=1) > 0.0).tolist()
+    good = flat if all(whole) else flat[whole]
+    terms = np.log(good)
+    terms *= good
+    sums = iter((-terms.sum(axis=1)).tolist())
+    return [next(sums) if ok else -float((np.log(row[row > 0.0]) * row[row > 0.0]).sum())
+            for row, ok in zip(flat, whole)]
+
+
+def memoise_entropies(models: Sequence["FactoredModel"], masks: Iterable[int]) -> None:
+    """Memoise the entropies of ``masks`` in ``models`` of one ``n`` and one set of
+    alphabet sizes: for each dependent set S, one product per batch of at most
+    ``_BATCH_CELLS`` cells with the models on a leading axis gives H(head, S)
+    and H(S).  A model above the bound is batched alone; a memoised value stays."""
+    priors = np.stack([model.head_prior for model in models])
+    tables = [np.stack(column) for column in zip(*(model.cond_tables for model in models))]
+    for s in sorted({mask | 1 for mask in masks}):
+        chosen = [table for i, table in enumerate(tables, 1) if s >> i & 1]
+        step = max(1, _BATCH_CELLS // math.prod(t.shape[-1] for t in [priors, *chosen]))
+        for start in range(0, len(models), step):
+            batch = slice(start, start + step)
+            p = _product(priors[batch], [table[batch] for table in chosen])
+            for mask in (s, s & ~1)[: 1 + (s > 1)]:
+                column = _row_entropies(p if mask & 1 else p.sum(axis=1))
+                for model, h in zip(models[batch], column):
+                    model._entropies.setdefault(mask, h)
+            del p  # before the next, larger product
 
 
 # ---------------------------------------------------------------------------
@@ -280,24 +306,14 @@ class FactoredModel:
         read off the factors without the dense joint.
 
         Bit 0 of ``mask`` is the head and bit ``i`` dependent ``i``, the axes
-        of ``joint``; the empty mask has entropy 0.  The dependents are
-        independent given the head, so the marginal over the head and the
-        masked dependents is the prior times those dependents' tables alone;
-        without the head bit, the head axis is summed away.  The result is
-        memoised by mask, together with that of the mask with the head bit
-        flipped, which the same product gives.
+        of ``joint``; the empty mask has entropy 0.  A mask not yet memoised
+        is ``memoise_entropies`` with this model alone.
         """
         h = self._entropies.get(mask)
         if h is None:
             if mask >> self.n + 1:
                 raise ValidationError(f"mask {mask:#b} selects axes this model does not have")
-            # One product gives both H(head, S) and H(S), and the relation
-            # plans ask for both of most of their sets S.
-            p = _product(self.head_prior,
-                         [t for i, t in enumerate(self.cond_tables, 1) if mask >> i & 1])
-            self._entropies[mask | 1] = _entropy(p)
-            if mask > 1:
-                self._entropies[mask & ~1] = _entropy(p.sum(axis=0))
+            memoise_entropies((self,), (mask,))
             h = self._entropies[mask]
         return h
 
@@ -390,7 +406,8 @@ class JointTable:
             if mask >> self.probs.ndim:
                 raise ValidationError(f"mask {mask:#b} selects axes this table does not have")
             drop = tuple(i for i in range(self.probs.ndim) if not mask >> i & 1)
-            h = self._entropies[mask] = _entropy(self.probs.sum(axis=drop) if drop else self.probs)
+            p = self.probs.sum(axis=drop) if drop else self.probs
+            h = self._entropies[mask] = _row_entropies(p[np.newaxis])[0]
         return h
 
     def marginal(self, keep: Variable | Iterable[Variable]) -> "JointTable":

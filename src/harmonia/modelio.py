@@ -56,7 +56,10 @@ def _alphabet_from_json(obj: Any, where: str) -> Alphabet:
     labels = obj.get("labels")
     if labels is not None and not isinstance(labels, list):
         raise ValidationError(f"{where}: labels must be a list or null, got {labels!r}")
-    return Alphabet(size=size, labels=tuple(labels) if labels else None)
+    try:
+        return Alphabet(size=size, labels=None if labels is None else tuple(labels))
+    except ValidationError as error:
+        raise ValidationError(f"{where}: {error}") from None
 
 
 def _floats(value: Any, where: str) -> np.ndarray:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, NamedTuple
 
 from .distributions import (
@@ -547,6 +548,28 @@ class PlacementSearchResult:
     best_positions: tuple[int, ...]
 
 
+@cache
+def _score_pairs(objective: Objective, n: int, k: int | None, order: tuple[int, ...]) -> tuple:
+    """The (x, y) masks of the mutual informations that make each head
+    position's score, for positions 1..n+1 with the dependents in ``order``."""
+    masks = [1 << i for i in order]
+    seqs = [masks[:p] + [HEAD_MASK] + masks[p:] for p in range(n + 1)]
+    if objective is Objective.HEAD_PREDICTABILITY:
+        return tuple(((sum(seq[:p]), HEAD_MASK),) for p, seq in enumerate(seqs))
+    if objective is Objective.DEPENDENT_PREDICTABILITY:
+        return tuple(tuple((seq[0], m) for m in seq[1:] if m != HEAD_MASK) for seq in seqs)
+    return tuple(((sum(seq[:k]), sum(seq[k:])),) for seq in seqs)
+
+
+def _score(values: list[Nats], aggregate: str) -> Nats:
+    """A position's score: the min or mean of its pairs' values, or of [0.0]
+    for none (n = 1 with the head second leaves no dependent pending)."""
+    if aggregate not in ("min", "mean"):
+        raise ValidationError(f"aggregate must be 'min' or 'mean', got {aggregate!r}")
+    values = values or [0.0]
+    return min(values) if aggregate == "min" else sum(values) / len(values)
+
+
 def optimal_head_position(
     model: FactoredModel,
     objective: Objective | str,
@@ -568,8 +591,6 @@ def optimal_head_position(
     broken arbitrarily.
     """
     objective = Objective(objective)
-    if aggregate not in ("min", "mean"):
-        raise ValidationError(f"aggregate must be 'min' or 'mean', got {aggregate!r}")
     check_tolerance(tol)
     n = model.n
     if objective is Objective.REMAINDER_AT_K:
@@ -579,19 +600,9 @@ def optimal_head_position(
             raise ValidationError(f"stage k={k} outside 1..{n}")
     elif k is not None:
         raise ValidationError(f"a stage k is for the remainder objective only, got k={k}")
-    order = [1 << i for i in Placement(n, 1, dependent_order).dependent_order]
-    scores: list[Nats] = []
-    for position in range(1, n + 2):
-        seq = order[: position - 1] + [HEAD_MASK] + order[position - 1 :]
-        if objective is Objective.HEAD_PREDICTABILITY:
-            pairs = [(sum(seq[: position - 1]), HEAD_MASK)]
-        elif objective is Objective.DEPENDENT_PREDICTABILITY:
-            pairs = [(seq[0], m) for m in seq[1:] if m != HEAD_MASK]
-        else:
-            pairs = [(sum(seq[:k]), sum(seq[k:]))]
-        # [0.0] when nothing is scored: n = 1 with the head second leaves no dependent pending.
-        values = [mi_of(model, x, y) for x, y in pairs] or [0.0]
-        scores.append(min(values) if aggregate == "min" else sum(values) / len(values))
+    order = Placement(n, 1, dependent_order).dependent_order
+    scores = [_score([mi_of(model, x, y) for x, y in pairs], aggregate)
+              for pairs in _score_pairs(objective, n, k, order)]
     best = max(scores)
     return PlacementSearchResult(
         scores=tuple(scores),

@@ -12,16 +12,19 @@ guaranteed for the model's regime:
   comparisons because they can genuinely fail there.
 
 ``battery_plan`` states those relations once per (n, regime) as a plan over
-axis bitmasks, none with the same entropies on both sides; ``theorem_battery``
-evaluates it on the model's own entropies, read off its factors, adds the
-harmony rows and the identity rows, which compare those entropies with sums
-made directly on the dense joint (each once), and sorts the rows by (theorem,
-relation).  A report row is ``(model_id, theorem, check)``, the check a
-``RelationCheck``.  With the models in model_id order the report is sorted,
-so reruns with the same config are byte-identical apart from an optional
-timestamp comment.  A ``RunConfig`` checks each grid cell through its
-``ModelSpec``.  A failing model, found in one pass over the rows, is
-serialised next to the report for a post-mortem.
+axis bitmasks, none with the same entropies on both sides.  The unit of work,
+which pool workers take whole, is a grid cell: the models of one (n, head
+size, dependent size, regime).  The entropies its plan reads are one batched
+product per dependent set, and every plan side and harmony score is
+``mi_of``'s arithmetic on their (models x masks) matrix; ``theorem_battery``
+is that path with one model.  Each model adds identity rows, which compare
+its entropies with sums made directly on its dense joint (each once), and
+sorts its rows by (theorem, relation).  A report row is ``(model_id, theorem,
+check)``, the check a ``RelationCheck``.  With the models in model_id order
+the report is sorted, so reruns with the same config are byte-identical
+apart from an optional timestamp comment.  A ``RunConfig`` checks each grid
+cell through its ``ModelSpec``.  A failing model, found in one pass over the
+rows, is serialised next to the report for a post-mortem.
 """
 
 from __future__ import annotations
@@ -34,17 +37,21 @@ from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from multiprocessing import get_context
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
+
+import numpy as np
 
 from .distributions import (
     FactoredModel,
     JointTable,
     ValidationError,
     as_integer,
+    build_joint,
     check_factorization,
+    memoise_entropies,
 )
 from .information import (
-    DEFAULT_TOLERANCE, chain_rule_residual_of, check_tolerance, direct_mi_of, mi_of)
+    CLAMP_BAND, DEFAULT_TOLERANCE, chain_rule_residual_of, check_tolerance, direct_mi_of, mi_of)
 from .generators import ModelSpec, derive_seed, random_model
 from .placement import (
     HEAD_MASK,
@@ -52,11 +59,11 @@ from .placement import (
     PlanEntry,
     Relation,
     RelationCheck,
-    _evaluate,
+    _score,
+    _score_pairs,
     deps_mask,
     irrelevance_plan,
     lattice_plan,
-    optimal_head_position,
     pending_plan,
     relation_check,
     remainder_plan,
@@ -202,23 +209,50 @@ def battery_plan(n: int, identical_channels: bool) -> tuple[PlanEntry, ...]:
     return tuple(e for e in plan if identical_channels or not e.cross_slot)
 
 
-def theorem_battery(
-    model: FactoredModel,
-    tol: float = DEFAULT_TOLERANCE,
-    aggregate: str = "min",
-) -> list[tuple[str, RelationCheck]]:
-    """Every guaranteed relation for one model, as (theorem, check) pairs in
-    (theorem, relation) order: ``battery_plan`` and the harmony rows,
-    evaluated on the model's own entropies, plus the identity rows."""
-    n = model.n
-    plan = battery_plan(n, model.has_identical_channels)
-    out = [(e.theorem, check) for e, check in zip(plan, _evaluate(model, plan, tol))]
+@cache
+def _compiled(n: int, plan: tuple[PlanEntry, ...]):
+    """The columns (x|z, y|z, x|y|z, z) of ``mi_of``'s sum for ``plan``'s lhs sides,
+    its rhs sides and the harmony score pairs; the masks they read; the pairs."""
+    scores = [_score_pairs(objective, n, None, tuple(range(1, n + 1)))
+              for objective in (Objective.HEAD_PREDICTABILITY, Objective.DEPENDENT_PREDICTABILITY)]
+    sides = ([e.lhs for e in plan] + [e.rhs for e in plan]
+             + [pair for positions in scores for pairs in positions for pair in pairs])
+    x, y, z = (np.array(v) for v in zip(*((*side, 0)[:3] for side in sides)))
+    columns = (x | z, y | z, x | y | z, z)
+    return columns, set(np.concatenate(columns).tolist()), scores
+
+
+def _batteries(models: Sequence[FactoredModel], tol: float,
+               aggregate: str) -> list[list[tuple[str, RelationCheck]]]:
+    """``theorem_battery`` of ``models`` of one ``n`` and one set of alphabet sizes: per
+    regime, one batched product per dependent set memoises the entropies, and each
+    side and score pair is ``mi_of``'s arithmetic, in order, on their matrix."""
+    n, regimes, batteries = models[0].n, [m.has_identical_channels for m in models], {}
+    for identical in set(regimes):
+        rows = [i for i, regime in enumerate(regimes) if regime == identical]
+        plan = battery_plan(n, identical)
+        (a, b, c, d), masks, scores = _compiled(n, plan)
+        memoise_entropies([models[i] for i in rows], masks)
+        h = np.array([[models[i]._entropies.get(m, np.nan) for m in range(2 << n)] for i in rows])
+        mi = ((h[:, a] + h[:, b]) - h[:, c]) - h[:, d]
+        mi[(mi < 0.0) & (mi > -CLAMP_BAND)] = 0.0
+        for i, values in zip(rows, mi.tolist()):
+            batteries[i] = _battery(models[i], plan, scores, values, tol, aggregate)
+    return [batteries[i] for i in range(len(models))]
+
+
+def _battery(model, plan, scores, values, tol, aggregate) -> list[tuple[str, RelationCheck]]:
+    """One model's rows, from its values of the sides ``_compiled`` lists."""
+    n, count = model.n, len(plan)
+    out = [(e.theorem, relation_check(e.name, e.relation, lhs, rhs,
+                                      tol if e.tol is None else e.tol, model, e.chain))
+           for e, lhs, rhs in zip(plan, values, values[count:])]
 
     # Exact identities of the information measures: MI is symmetric, and the
     # chain rule holds.  The model's entropies satisfy both by construction,
     # so each row compares them with the direct-summation path over the dense
     # joint, symmetry with the two sides swapped.  These are the only rows
-    # that build the joint, after the plan.
+    # that build the joint, one per model, dropped with the rows.
     first, rest = 1 << 1, deps_mask(2, n)
     symmetric = [("symmetry head-vs-deps", HEAD_MASK, deps_mask(1, n))]
     residuals = []
@@ -227,7 +261,8 @@ def theorem_battery(
         residuals = [("chain-rule deps-about-head", first, rest, HEAD_MASK),
                      ("chain-rule head+dep1-about-rest", HEAD_MASK, first, rest)]
     # Each sum once: "chain-rule deps-about-head" sums the rhs of "symmetry head-vs-deps".
-    direct = cache(lambda x, y: direct_mi_of(model.joint, x, y))
+    joint = build_joint(model)
+    direct = cache(lambda x, y: direct_mi_of(joint, x, y))
     out += [("identity", relation_check(name, Relation.EQ, mi_of(model, x, y),
                                         direct(y, x), tol))
             for name, x, y in symmetric]
@@ -240,10 +275,9 @@ def theorem_battery(
     # head, and the head informs every dependent at least as well as a
     # sibling does.  Both sides are sums of different entropies, so both
     # rows take the tolerance.
-    head = optimal_head_position(model, Objective.HEAD_PREDICTABILITY).scores
-    dependent = optimal_head_position(
-        model, Objective.DEPENDENT_PREDICTABILITY, aggregate=aggregate
-    ).scores
+    pairs = iter(values[2 * count:])
+    head, dependent = ([_score([next(pairs) for _ in position], how) for position in positions]
+                       for positions, how in zip(scores, ("min", aggregate)))
     out += [
         ("harmony", relation_check("head-last attains head-predictability max", Relation.EQ,
                                    max(head), head[n], tol)),
@@ -251,6 +285,16 @@ def theorem_battery(
                                    Relation.EQ, max(dependent), dependent[0], tol)),
     ]
     return sorted(out, key=lambda pair: (pair[0], pair[1].name))
+
+
+def theorem_battery(
+    model: FactoredModel,
+    tol: float = DEFAULT_TOLERANCE,
+    aggregate: str = "min",
+) -> list[tuple[str, RelationCheck]]:
+    """Every guaranteed relation for one model, as (theorem, check) pairs in (theorem,
+    relation) order: plan, harmony and identity rows, by a sweep cell's path."""
+    return _batteries([model], tol, aggregate)[0]
 
 
 def checks_for_joint(joint: JointTable, tol: float = DEFAULT_TOLERANCE) -> list[tuple[str, RelationCheck]]:
@@ -298,11 +342,13 @@ def sweep_tasks(config: RunConfig) -> list[SweepTask]:
     return tasks
 
 
-def _battery_rows(task: SweepTask, tol: float, aggregate: str) -> list[ReportRow]:
-    model = random_model(task.spec)
+def _battery_rows(tasks: Sequence[SweepTask], tol: float, aggregate: str) -> list[ReportRow]:
+    """The rows of one grid cell's tasks, whose models share n and every alphabet size."""
+    models = [random_model(task.spec) for task in tasks]
     return [
         (task.model_id, theorem, check)
-        for theorem, check in theorem_battery(model, tol=tol, aggregate=aggregate)
+        for task, pairs in zip(tasks, _batteries(models, tol, aggregate))
+        for theorem, check in pairs
     ]
 
 
@@ -321,14 +367,16 @@ def run_sweep(config: RunConfig) -> SweepResult:
     """Run the whole battery over the config's model grid."""
     start = time.perf_counter()
     # Each model's rows come in (theorem, relation) order, so taking the
-    # models in model_id order sorts the report.
+    # models in model_id order sorts the report; a cell's ids share a prefix.
     tasks = sorted(sweep_tasks(config), key=lambda t: t.model_id)
-    workers = min(resolve_workers(config.workers), len(tasks))
-    args = [(t, config.tolerance, config.aggregate) for t in tasks]
+    cells = [list(cell) for _, cell in
+             itertools.groupby(tasks, key=lambda t: t.model_id.rsplit("-", 1)[0])]
+    workers = min(resolve_workers(config.workers), len(cells))
+    args = [(cell, config.tolerance, config.aggregate) for cell in cells]
     if workers > 1:
         ctx = get_context()
         with ctx.Pool(processes=workers) as pool:
-            per_task = pool.starmap(_battery_rows, args, chunksize=8)
+            per_task = pool.starmap(_battery_rows, args, chunksize=1)
     else:
         per_task = list(itertools.starmap(_battery_rows, args))
     rows = [row for chunk in per_task for row in chunk]

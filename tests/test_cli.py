@@ -480,6 +480,8 @@ def test_verify_input_rejects_nan_probabilities(capsys, tmp_path, document):
         ("verify", ["--tol", "inf"]),
         ("verify", ["--head-sizes", ""]),
         ("verify", ["--dep-sizes", ","]),
+        # An empty label list is a count mismatch, not "no labels".
+        ("model", _copy_model_json(dep_alphabets=[{"size": 2, "labels": []}])),
     ],
     ids=["sweep-size-text", "n-values-scalar", "tolerance-text", "seed-float",
          "workers-float", "timestamp-text", "n-values-repeated", "head-sizes-repeated",
@@ -489,7 +491,7 @@ def test_verify_input_rejects_nan_probabilities(capsys, tmp_path, document):
          "dep-alphabets-scalar", "labels-text", "labels-not-strings", "labels-repeated",
          "gen-negative-seed", "profile-tol-negative",
          "profile-tol-nan", "verify-tol-inf", "verify-head-sizes-empty",
-         "verify-dep-sizes-empty"],
+         "verify-dep-sizes-empty", "labels-empty"],
 )
 def test_malformed_input_exits_2(capsys, tmp_path, kind, content):
     """A broken input is a usage error (exit 2), never a traceback or exit 1."""
@@ -510,6 +512,10 @@ def test_malformed_input_exits_2(capsys, tmp_path, kind, content):
     assert err.startswith("error: ") and err.count("\n") == 1
     if kind in ("config", "model", "joint"):
         assert err.startswith(f"error: {path}: ")
+    if "labels" in json.dumps(content):
+        # A label error names its alphabet, as a bad size does.
+        where = "head_alphabet" if "labels" in content["head_alphabet"] else "dep_alphabets[0]"
+        assert err.startswith(f"error: {path}: {where}: ")
 
 
 def test_a_config_may_still_set_timestamp_false(capsys, tmp_path):

@@ -199,3 +199,46 @@ def test_a_mask_beyond_the_axes_is_refused():
     for source in (build_joint(model), model):
         with pytest.raises(ValidationError, match="axes"):
             source.entropy_of(1 << 3)
+
+
+def _alone(model, mask):
+    """H of ``mask`` from this model's own product, summed as one model alone
+    would be: the prior times the masked tables in axis order, the head axis
+    summed away without the head bit, then the cells in C order without zeros."""
+    p = model.head_prior
+    chosen = [t for i, t in enumerate(model.cond_tables, 1) if mask >> i & 1]
+    for i, table in enumerate(chosen):
+        p = p[..., np.newaxis] * table.reshape((table.shape[0],) + (1,) * i + (table.shape[1],))
+    if not mask & 1:
+        p = p.sum(axis=0)
+    q = p.ravel() if p.min() > 0.0 else p[p > 0.0]
+    return -float((np.log(q) * q).sum())
+
+
+@pytest.mark.parametrize("identical", [True, False])
+@pytest.mark.parametrize("n, head_size, dep_size, concentration, zeros", [
+    (1, 2, 3, 1.0, False), (1, 1, 1, 1.0, False), (2, 3, 1, 0.02, False),
+    (3, 1, 3, 0.3, False), (4, 3, 2, 1.0, False), (4, 5, 5, 0.02, True),
+])
+def test_batched_entropies_equal_single_model_ones_bit_for_bit(
+        n, head_size, dep_size, concentration, zeros, identical):
+    """``memoise_entropies`` over a batch of 20 and over each model alone gives,
+    on every mask of the compiled plan, the bits of the model's own product;
+    spiky rows put zero cells in some of the batch's products."""
+    from harmonia.distributions import memoise_entropies
+    from harmonia.sweep import _compiled, battery_plan
+
+    masks = _compiled(n, battery_plan(n, identical))[1]
+    specs = [ModelSpec(n=n, head_size=head_size, dep_sizes=dep_size, seed=seed,
+                       concentration=concentration, identical_channels=identical)
+             for seed in range(20)]
+    batched, alone = [random_model(s) for s in specs], [random_model(s) for s in specs]
+    assert zeros == any(build_joint(model).probs.min() == 0.0 for model in batched)
+    memoise_entropies(batched, masks)
+    for model in alone:
+        memoise_entropies([model], masks)
+    for one, other in zip(batched, alone):
+        for mask in masks:
+            expected = _alone(one, mask) if mask else 0.0
+            assert one._entropies[mask] == other._entropies[mask] == expected, mask
+            assert type(one._entropies[mask]) is float

@@ -294,6 +294,15 @@ def test_pending_part1_needs_identical_channels_beyond_jk():
     assert not part1.holds
 
 
+@pytest.mark.parametrize("n, seed, k, j", [(2, 0, 1, 2), (3, 17, 2, 3)])
+def test_pending_part1_fails_on_a_seeded_per_slot_model(n, seed, k, j):
+    """Part 1 at j > k compares different slots: a random per-slot model breaks it."""
+    model = random_model(ModelSpec(n=n, head_size=3, dep_sizes=3, seed=seed))
+    part1 = verify_pending_theorem(model, k, j)[0]
+    assert not model.has_identical_channels
+    assert part1.name == f"pending part1 k={k} j={j}" and part1.slack < -0.01
+
+
 def test_pending_equality_diagnosis_on_equality_model():
     checks = verify_pending_theorem(copy_model(3, 2, 0.0), 2, 2)
     assert checks[0].holds and checks[0].equality_diagnosis.is_chain
@@ -388,6 +397,15 @@ def test_lattice_relation5_at_k2_fails_without_identical_channels():
     (rel5,) = [c for c in lattice_report(model, 2) if "(5)" in c.name]
     assert not model.has_identical_channels
     assert rel5.slack < -0.01
+
+
+@pytest.mark.parametrize("seed, number", [(42, 6), (15, 7)])
+def test_lattice_relations_6_and_7_fail_on_a_seeded_per_slot_model(seed, number):
+    """(6) and (7) compare different slots, so each fails on some per-slot model."""
+    model = random_model(ModelSpec(n=3, head_size=3, dep_sizes=3, seed=seed))
+    (check,) = [c for c in lattice_report(model, 1) if f"({number})" in c.name]
+    assert not model.has_identical_channels
+    assert check.slack < -0.01
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -651,3 +651,90 @@ def test_witnesses_name_the_failing_model(tmp_path):
     assert meta["model_id"] == model_id
     assert forged.name in meta["failing_relations"]
     load_model(paths[0])  # the witness is a valid model file
+
+
+# -- a grid cell as the unit of work ---------------------------------------------------
+
+#: Cells with n = 1, one-valued alphabets, spiky rows with zero cells and both
+#: regimes; at concentration 0.001 the per-slot cell n2-h1-d2-ps draws
+#: identical tables for one of its models, so that cell mixes regimes.
+CELLS = [RunConfig(sweep_size=6, n_values=(1, 3), head_sizes=(1, 3), dep_sizes=(1, 2),
+                   concentration=0.05, seed=7),
+         RunConfig(sweep_size=8, n_values=(2,), head_sizes=(1, 2), dep_sizes=(2,),
+                   concentration=0.001, seed=0)]
+
+
+@pytest.mark.parametrize("config", CELLS, ids=["small-alphabets", "mixed-regimes"])
+def test_theorem_battery_equals_the_models_rows_in_the_sweep(config):
+    """The sweep's cell path and ``theorem_battery`` on one model give the same
+    checks, field for field."""
+    rows = collections.defaultdict(list)
+    for model_id, theorem, check in run_sweep(config).rows:
+        rows[model_id].append((theorem, check))
+    tasks = sweep_tasks(config)
+    assert sorted(rows) == sorted(t.model_id for t in tasks)
+    regimes = collections.defaultdict(set)
+    for task in tasks:
+        model = random_model(task.spec)
+        regimes[task.model_id.rsplit("-", 1)[0]].add(model.has_identical_channels)
+        assert theorem_battery(model) == rows[task.model_id], task.model_id
+    assert any(len(cell) == 2 for cell in regimes.values()) == (config.concentration == 0.001)
+
+
+def _recorded_products(monkeypatch):
+    """Record (models in the batch, or None without a models axis; number of
+    tables; cells) of every call of the product primitive."""
+    calls = []
+
+    def recording(head_prior, tables, original=harmonia.distributions._product):
+        p = original(head_prior, tables)
+        calls.append((len(head_prior) if head_prior.ndim == 2 else None, len(tables), p.size))
+        return p
+
+    monkeypatch.setattr(harmonia.distributions, "_product", recording)
+    return calls
+
+
+def test_a_batch_never_holds_more_than_the_bound(monkeypatch):
+    """With the bound patched down, a cell's products split into batches of at
+    most the bound, a model above it is batched alone, and no row changes."""
+    config = RunConfig(sweep_size=8, n_values=(3,), head_sizes=(3,), dep_sizes=(2,), seed=5)
+    expected = run_sweep(config).rows
+    monkeypatch.setattr(harmonia.distributions, "_BATCH_CELLS", 20)
+    calls = _recorded_products(monkeypatch)
+    assert run_sweep(config).rows == expected
+    batches = [(models, cells) for models, _, cells in calls if models is not None]
+    assert all(cells <= 20 or models == 1 for models, cells in batches)
+    assert (1, 24) in batches  # head and three dependents: 24 cells, alone
+    assert (3, 18) in batches and (1, 6) in batches  # one dependent: 4 models in 3 + 1
+    assert max(models for models, _ in batches) == 4  # no dependent: the whole cell
+
+
+def test_a_sweep_makes_one_product_per_batch_and_dependent_set(monkeypatch):
+    """The mechanism, guarded: each cell computes each dependent set of its
+    compiled plan once, with all its models on the leading axis; the only
+    per-model products are the dense joints of the identity rows."""
+    config = RunConfig(sweep_size=6, n_values=(3,), head_sizes=(2,), dep_sizes=(3,), seed=3)
+    calls = _recorded_products(monkeypatch)
+    run_sweep(config)
+    sets = {identical: {mask >> 1 for mask in harmonia.sweep._compiled(3, battery_plan(3, identical))[1]}
+            for identical in (True, False)}
+    batched = [(models, tables) for models, tables, _ in calls if models is not None]
+    assert len(batched) == len(sets[True]) + len(sets[False]) == 2 * 2 ** 3
+    assert all(models == 3 for models, _ in batched)
+    joints = [tables for models, tables, _ in calls if models is None]
+    assert joints == [3] * config.model_count
+
+
+@pytest.mark.parametrize("identical", [True, False])
+def test_the_compiled_masks_serve_the_chains_and_the_identity_rows(identical):
+    """A chain's diagnosis and the identity rows read only dependent sets that
+    the compiled plan computes, so after the batch they are lookups."""
+    for n in range(1, 9):
+        plan = battery_plan(n, identical)
+        sets = {mask | 1 for mask in harmonia.sweep._compiled(n, plan)[1]}
+        everything = (1 << n + 1) - 1
+        read = [1, everything, everything & ~2, 2 | 1, everything & ~3]
+        for x, y, z in (e.chain for e in plan if e.chain):
+            read += [x | y, z | y, x | y | z, y]
+        assert {mask | 1 for mask in read} <= sets, n
