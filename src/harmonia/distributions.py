@@ -6,11 +6,11 @@ independently from a conditional table given the head.  Every information
 measure is arithmetic on subset entropies (``entropy_of(mask)``), and two
 objects give them exactly.  A ``FactoredModel`` builds each subset's marginal
 from the head prior and that subset's own conditional tables, for the models
-of a sweep cell at once (``memoise_entropies``) or for one alone.  A
-``JointTable`` sums the marginal out of a dense joint; it serves joint files,
-sampling and scoring, and the direct-summation path that the identity checks
-compare against.  Every dense product, the joint and each of the model's
-marginals, is materialised up to ``MAX_JOINT_CELLS`` cells rather than
+of a sweep cell at once (``memoise_entropies``, skipping the sets they hold)
+or for one alone.  A ``JointTable`` sums the marginal out of a dense joint;
+it serves joint files, sampling and scoring, and the direct-summation path
+that the identity checks compare against.  Every dense product (the joint, a
+model's marginal) is materialised up to ``MAX_JOINT_CELLS`` cells rather than
 approximated, and refused above that before any memory is allocated.
 ``check_factorization`` measures, in nats, how far a joint is from factoring.
 
@@ -216,8 +216,11 @@ def _row_entropies(p: np.ndarray) -> list[float]:
 def memoise_entropies(models: Sequence["FactoredModel"], masks: Iterable[int]) -> None:
     """Memoise the entropies of ``masks`` in ``models`` of one ``n`` and one set of
     alphabet sizes: for each dependent set S, one product per batch of at most
-    ``_BATCH_CELLS`` cells with the models on a leading axis gives H(head, S)
-    and H(S).  A model above the bound is batched alone; a memoised value stays."""
+    ``_BATCH_CELLS`` cells with the models on a leading axis gives H(head, S) and H(S).
+    A model above the bound is batched alone; a held mask is skipped, one past the axes refused."""
+    masks = [mask for mask in masks if any(mask not in model._entropies for model in models)]
+    if max(masks, default=0) >> models[0].n + 1:
+        raise ValidationError(f"mask {max(masks):#b} selects axes this model does not have")
     priors = np.stack([model.head_prior for model in models])
     tables = [np.stack(column) for column in zip(*(model.cond_tables for model in models))]
     for s in sorted({mask | 1 for mask in masks}):
@@ -311,8 +314,6 @@ class FactoredModel:
         """
         h = self._entropies.get(mask)
         if h is None:
-            if mask >> self.n + 1:
-                raise ValidationError(f"mask {mask:#b} selects axes this model does not have")
             memoise_entropies((self,), (mask,))
             h = self._entropies[mask]
         return h

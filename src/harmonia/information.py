@@ -11,7 +11,9 @@ from floating-point cancellation (within ``CLAMP_BAND`` of zero) are clamped
 to exactly 0.0 so that downstream comparisons never see ``-1e-17``-style
 noise.  A source is anything with a memoised ``entropy_of(mask)``: a
 ``FactoredModel``, which reads each marginal off its factors, or a dense
-``JointTable``, which sums it out of the joint.
+``JointTable``, which sums it out of the joint.  ``mi_rows`` evaluates every
+plan, head-position score and profile, each side ``mi_of``'s sum on one
+(sources x masks) entropy matrix; ``mi_of`` serves one-off queries.
 
 Symmetry of mutual information is bit-exact by construction: swapping X and
 Y swaps the two leading terms, and IEEE addition commutes.  So a symmetry
@@ -29,15 +31,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .distributions import (
     EntropySource,
+    FactoredModel,
     JointTable,
     ValidationError,
     Variable,
+    memoise_entropies,
     variables_of,
 )
 
@@ -155,6 +160,28 @@ def mi_of(source: EntropySource, mx: int, my: int, mz: int = 0) -> Nats:
     is empty."""
     h = source.entropy_of
     return _clamp(h(mx | mz) + h(my | mz) - h(mx | my | mz) - h(mz))
+
+
+@lru_cache(maxsize=256)
+def _columns(sides: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The masks that ``mi_of`` reads for ``sides``, ascending, and the rows
+    (x|z, y|z, x|y|z, z) of its four terms per side as indices into them."""
+    terms = [(x | z, y | z, x | y | z, z) for x, y, z in ((*side, 0)[:3] for side in sides)]
+    masks = tuple(sorted({mask for term in terms for mask in term}))
+    return masks, np.searchsorted(masks, np.array(terms, np.intp).reshape(-1, 4)).T
+
+
+def mi_rows(sources: Sequence[EntropySource], sides: Sequence[tuple[int, ...]]) -> list[list[Nats]]:
+    """``mi_of(source, *side)`` for each source and side, bit for bit: its sum, clamped, on
+    the (sources x masks) entropy matrix, which models (all of one ``n`` and one set of
+    alphabet sizes) fill with one ``memoise_entropies`` call, other sources by ``entropy_of``."""
+    masks, (a, b, c, d) = _columns(tuple(sides))
+    if isinstance(sources[0], FactoredModel):
+        memoise_entropies(sources, masks)
+    h = np.array([[source.entropy_of(m) for m in masks] for source in sources])
+    mi = ((h[:, a] + h[:, b]) - h[:, c]) - h[:, d]
+    mi[(mi < 0.0) & (mi > -CLAMP_BAND)] = 0.0
+    return mi.tolist()
 
 
 def chain_rule_residual(joint: JointTable, x1: Vars, x2: Vars, y: Vars) -> Nats:

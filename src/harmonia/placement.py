@@ -17,15 +17,15 @@ I(dep1; head), could catch no error, so a plan has no row for it.
 
 Which relations apply depends only on ``n`` and the stage.  So each family
 is stated once, as a plan: ``PlanEntry`` rows whose sides are axis bitmasks
-(bit 0 the head, bit ``i`` dependent ``i``), evaluated by entropy lookups on
-any source over head, dep1..n.  For a model that source is the model itself,
-which reads each marginal off its factors and never builds the dense joint;
-a joint file's table is the other source, with its axes in the order the
-file loader produces.  ``verify_pending_theorem`` and the other checkers
-validate their arguments and evaluate their family's plan into
-``RelationCheck`` records, the one verdict type from plan to report row; a
-check's slack and verdict derive from its sides.  ``placement_profile`` gives
-one ``StageRow`` per stage, ``optimal_head_position`` the scores and best ones.
+(bit 0 the head, bit ``i`` dependent ``i``), on any source over head,
+dep1..n: a model, which reads each marginal off its factors and never builds
+the dense joint, or a joint file's table, with its axes in the order the file
+loader produces.  ``_evaluate`` computes a plan on a list of sources with one
+``information.mi_rows`` call, as ``placement_profile`` (one ``StageRow`` per
+stage) and ``optimal_head_position`` (the scores and best ones) compute theirs;
+``verify_pending_theorem`` and the other checkers validate their arguments and
+evaluate their family's plan on one source.  ``RelationCheck`` is the one
+verdict type from plan to report row; its slack and verdict derive from its sides.
 
 Two families of relations need different care:
 
@@ -45,7 +45,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .distributions import (
     HEAD,
@@ -62,7 +62,7 @@ from .information import (
     Nats,
     check_tolerance,
     markov_of,
-    mi_of,
+    mi_rows,
     mutual_information,
 )
 
@@ -278,14 +278,15 @@ class PlanEntry(NamedTuple):
     cross_slot: bool = False
 
 
-def _evaluate(source: EntropySource, plan: Iterable[PlanEntry], tol: float) -> list[RelationCheck]:
-    """The checks of ``plan`` on ``source``, whose axes must be head, dep1..n
-    for the plan's ``n``; every entropy is a memoised lookup."""
-    return [
-        relation_check(e.name, e.relation, mi_of(source, *e.lhs), mi_of(source, *e.rhs),
-                       tol if e.tol is None else e.tol, source, e.chain)
-        for e in plan
-    ]
+def _evaluate(sources: Sequence[EntropySource], plan: Sequence[PlanEntry], tol: float,
+              sides: Sequence[tuple[int, ...]] = ()) -> list[tuple[list[RelationCheck], list]]:
+    """Per source, whose axes must be head, dep1..n for the plan's ``n``: the
+    checks of ``plan`` and the values of ``sides``, from one ``mi_rows`` call."""
+    count = len(plan)
+    rows = mi_rows(sources, [e.lhs for e in plan] + [e.rhs for e in plan] + [*sides])
+    return [([relation_check(e.name, e.relation, lhs, rhs, tol if e.tol is None else e.tol,
+                             source, e.chain) for e, lhs, rhs in zip(plan, values, values[count:])],
+             values[2 * count:]) for source, values in zip(sources, rows)]
 
 
 def _dependents(source: EntropySource) -> int:
@@ -332,7 +333,7 @@ def remainder_relation_checks(
     entropies, so there is no check.  On a non-factored joint either relation
     can fail, which is exactly what these checks are for.
     """
-    return tuple(_evaluate(source, remainder_plan(_dependents(source)), tol))
+    return tuple(_evaluate([source], remainder_plan(_dependents(source)), tol)[0][0])
 
 
 def verify_remainder_theorem(
@@ -392,7 +393,7 @@ def verify_pending_theorem(
         raise ValidationError(f"k={k} outside 1..{n}")
     if not k <= j <= n:
         raise ValidationError(f"j={j} outside the pending range {k}..{n}")
-    return tuple(_evaluate(model, pending_plan(k, j), tol))
+    return tuple(_evaluate([model], pending_plan(k, j), tol)[0][0])
 
 
 def irrelevance_plan(k: int, j: int) -> list[PlanEntry]:
@@ -413,7 +414,7 @@ def verify_irrelevance(
     n = model.n
     if not 1 <= k < j <= n:
         raise ValidationError(f"need 1 <= k < j <= n, got k={k}, j={j}, n={n}")
-    return _evaluate(model, irrelevance_plan(k, j), tol)[0]
+    return _evaluate([model], irrelevance_plan(k, j), tol)[0][0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +487,7 @@ def lattice_report(
     n = model.n
     if not 1 <= k < n:
         raise ValidationError(f"lattice stage needs 1 <= k < n, got k={k}, n={n}")
-    return tuple(_evaluate(model, lattice_plan(n, k), tol))
+    return tuple(_evaluate([model], lattice_plan(n, k), tol)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +515,11 @@ def placement_profile(source: EntropySource, placement: Placement) -> tuple[Stag
     if n != placement.n:
         raise ValidationError(f"placement has {placement.n} dependents, the source has {n}")
     seq = placement.sequence()
-    everything = (1 << n + 1) - 1
-    rows = []
-    produced = 0
-    for k in range(0, n + 1):
-        rows.append(
-            StageRow(
-                k=k,
-                remainder=mi_of(source, produced, everything & ~produced),
-                pending_elements=tuple((v, mi_of(source, produced, 1 << v.index)) for v in seq[k:]),
-            )
-        )
-        produced |= 1 << seq[k].index
-    return tuple(rows)
+    masks = [1 << v.index for v in seq]
+    values = iter(mi_rows([source], [(sum(masks[:k]), m) for k in range(n + 1)
+                                     for m in (sum(masks[k:]), *masks[k:])])[0])
+    return tuple(StageRow(k, next(values), tuple((v, next(values)) for v in seq[k:]))
+                 for k in range(n + 1))
 
 
 class Objective(enum.Enum):
@@ -561,13 +554,13 @@ def _score_pairs(objective: Objective, n: int, k: int | None, order: tuple[int, 
     return tuple(((sum(seq[:k]), sum(seq[k:])),) for seq in seqs)
 
 
-def _score(values: list[Nats], aggregate: str) -> Nats:
-    """A position's score: the min or mean of its pairs' values, or of [0.0]
-    for none (n = 1 with the head second leaves no dependent pending)."""
+def _scores(values: Iterator[Nats], positions: tuple, aggregate: str) -> list[Nats]:
+    """Each position's score, from ``values`` read in ``_score_pairs`` order: the min or mean
+    of its pairs' values, or 0.0 for none (n = 1 with the head second leaves none pending)."""
     if aggregate not in ("min", "mean"):
         raise ValidationError(f"aggregate must be 'min' or 'mean', got {aggregate!r}")
-    values = values or [0.0]
-    return min(values) if aggregate == "min" else sum(values) / len(values)
+    taken = ([next(values) for _ in pairs] or [0.0] for pairs in positions)
+    return [min(t) if aggregate == "min" else sum(t) / len(t) for t in taken]
 
 
 def optimal_head_position(
@@ -600,9 +593,9 @@ def optimal_head_position(
             raise ValidationError(f"stage k={k} outside 1..{n}")
     elif k is not None:
         raise ValidationError(f"a stage k is for the remainder objective only, got k={k}")
-    order = Placement(n, 1, dependent_order).dependent_order
-    scores = [_score([mi_of(model, x, y) for x, y in pairs], aggregate)
-              for pairs in _score_pairs(objective, n, k, order)]
+    positions = _score_pairs(objective, n, k, Placement(n, 1, dependent_order).dependent_order)
+    (values,) = mi_rows([model], [pair for pairs in positions for pair in pairs])
+    scores = _scores(iter(values), positions, aggregate)
     best = max(scores)
     return PlacementSearchResult(
         scores=tuple(scores),

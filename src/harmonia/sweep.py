@@ -14,17 +14,17 @@ guaranteed for the model's regime:
 ``battery_plan`` states those relations once per (n, regime) as a plan over
 axis bitmasks, none with the same entropies on both sides.  The unit of work,
 which pool workers take whole, is a grid cell: the models of one (n, head
-size, dependent size, regime).  The entropies its plan reads are one batched
-product per dependent set, and every plan side and harmony score is
-``mi_of``'s arithmetic on their (models x masks) matrix; ``theorem_battery``
-is that path with one model.  Each model adds identity rows, which compare
-its entropies with sums made directly on its dense joint (each once), and
-sorts its rows by (theorem, relation).  A report row is ``(model_id, theorem,
-check)``, the check a ``RelationCheck``.  With the models in model_id order
-the report is sorted, so reruns with the same config are byte-identical
-apart from an optional timestamp comment.  A ``RunConfig`` checks each grid
-cell through its ``ModelSpec``.  A failing model, found in one pass over the
-rows, is serialised next to the report for a post-mortem.
+size, dependent size, regime).  Per regime in a cell, its plan and both
+harmony objectives' score pairs are one ``placement._evaluate`` call, one
+``information.mi_rows`` matrix whose entropies are one batched product per
+dependent set; ``theorem_battery`` is that path with one model.  Each model
+adds identity rows, which compare its entropies with sums made directly on
+its dense joint (each once), and sorts its rows by (theorem, relation).  A
+report row is ``(model_id, theorem, check)``, the check a ``RelationCheck``.
+With the models in model_id order the report is sorted, so reruns with the
+same config are byte-identical apart from an optional timestamp comment.  A
+``RunConfig`` checks each grid cell through its ``ModelSpec``.  A failing
+model, found in one pass over the rows, is serialised next to the report.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-import numpy as np
-
 from .distributions import (
     FactoredModel,
     JointTable,
@@ -48,10 +46,9 @@ from .distributions import (
     as_integer,
     build_joint,
     check_factorization,
-    memoise_entropies,
 )
 from .information import (
-    CLAMP_BAND, DEFAULT_TOLERANCE, chain_rule_residual_of, check_tolerance, direct_mi_of, mi_of)
+    DEFAULT_TOLERANCE, chain_rule_residual_of, check_tolerance, direct_mi_of, mi_of)
 from .generators import ModelSpec, derive_seed, random_model
 from .placement import (
     HEAD_MASK,
@@ -59,8 +56,9 @@ from .placement import (
     PlanEntry,
     Relation,
     RelationCheck,
-    _score,
+    _evaluate,
     _score_pairs,
+    _scores,
     deps_mask,
     irrelevance_plan,
     lattice_plan,
@@ -209,44 +207,25 @@ def battery_plan(n: int, identical_channels: bool) -> tuple[PlanEntry, ...]:
     return tuple(e for e in plan if identical_channels or not e.cross_slot)
 
 
-@cache
-def _compiled(n: int, plan: tuple[PlanEntry, ...]):
-    """The columns (x|z, y|z, x|y|z, z) of ``mi_of``'s sum for ``plan``'s lhs sides,
-    its rhs sides and the harmony score pairs; the masks they read; the pairs."""
-    scores = [_score_pairs(objective, n, None, tuple(range(1, n + 1)))
-              for objective in (Objective.HEAD_PREDICTABILITY, Objective.DEPENDENT_PREDICTABILITY)]
-    sides = ([e.lhs for e in plan] + [e.rhs for e in plan]
-             + [pair for positions in scores for pairs in positions for pair in pairs])
-    x, y, z = (np.array(v) for v in zip(*((*side, 0)[:3] for side in sides)))
-    columns = (x | z, y | z, x | y | z, z)
-    return columns, set(np.concatenate(columns).tolist()), scores
-
-
 def _batteries(models: Sequence[FactoredModel], tol: float,
                aggregate: str) -> list[list[tuple[str, RelationCheck]]]:
-    """``theorem_battery`` of ``models`` of one ``n`` and one set of alphabet sizes: per
-    regime, one batched product per dependent set memoises the entropies, and each
-    side and score pair is ``mi_of``'s arithmetic, in order, on their matrix."""
+    """``theorem_battery`` of ``models`` of one ``n`` and one set of alphabet sizes:
+    per regime, its plan and both objectives' score pairs are one ``_evaluate``."""
     n, regimes, batteries = models[0].n, [m.has_identical_channels for m in models], {}
+    scores = [_score_pairs(objective, n, None, tuple(range(1, n + 1)))
+              for objective in (Objective.HEAD_PREDICTABILITY, Objective.DEPENDENT_PREDICTABILITY)]
+    pairs = [pair for positions in scores for pairs in positions for pair in pairs]
     for identical in set(regimes):
         rows = [i for i, regime in enumerate(regimes) if regime == identical]
         plan = battery_plan(n, identical)
-        (a, b, c, d), masks, scores = _compiled(n, plan)
-        memoise_entropies([models[i] for i in rows], masks)
-        h = np.array([[models[i]._entropies.get(m, np.nan) for m in range(2 << n)] for i in rows])
-        mi = ((h[:, a] + h[:, b]) - h[:, c]) - h[:, d]
-        mi[(mi < 0.0) & (mi > -CLAMP_BAND)] = 0.0
-        for i, values in zip(rows, mi.tolist()):
-            batteries[i] = _battery(models[i], plan, scores, values, tol, aggregate)
+        for i, (checks, rest) in zip(rows, _evaluate([models[i] for i in rows], plan, tol, pairs)):
+            batteries[i] = _battery(models[i], plan, checks, iter(rest), scores, tol, aggregate)
     return [batteries[i] for i in range(len(models))]
 
 
-def _battery(model, plan, scores, values, tol, aggregate) -> list[tuple[str, RelationCheck]]:
-    """One model's rows, from its values of the sides ``_compiled`` lists."""
-    n, count = model.n, len(plan)
-    out = [(e.theorem, relation_check(e.name, e.relation, lhs, rhs,
-                                      tol if e.tol is None else e.tol, model, e.chain))
-           for e, lhs, rhs in zip(plan, values, values[count:])]
+def _battery(model, plan, checks, values, scores, tol, aggregate) -> list[tuple[str, RelationCheck]]:
+    """One model's rows: its ``checks`` of ``plan``, identity and harmony rows (from ``values``)."""
+    n, out = model.n, [(e.theorem, check) for e, check in zip(plan, checks)]
 
     # Exact identities of the information measures: MI is symmetric, and the
     # chain rule holds.  The model's entropies satisfy both by construction,
@@ -275,8 +254,7 @@ def _battery(model, plan, scores, values, tol, aggregate) -> list[tuple[str, Rel
     # head, and the head informs every dependent at least as well as a
     # sibling does.  Both sides are sums of different entropies, so both
     # rows take the tolerance.
-    pairs = iter(values[2 * count:])
-    head, dependent = ([_score([next(pairs) for _ in position], how) for position in positions]
+    head, dependent = (_scores(values, positions, how)
                        for positions, how in zip(scores, ("min", aggregate)))
     out += [
         ("harmony", relation_check("head-last attains head-predictability max", Relation.EQ,

@@ -86,6 +86,7 @@ def load_typology(path: str | Path | None = None) -> tuple[TypologyRow, ...]:
             text = Path(path).read_text("utf-8")
         except UnicodeDecodeError as err:
             raise ValidationError(f"{where}: {err}") from None
+    text = text.removeprefix("\ufeff")  # a UTF-8 byte order mark would hide the first line
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     reader = csv.DictReader(io.StringIO("\n".join(lines)))
     header = tuple(reader.fieldnames or ())

@@ -3,6 +3,8 @@
 Everything here iterates over cells with plain Python dictionaries and
 ``math.log``, deliberately avoiding the library's vectorised marginal and
 axis machinery, so the two paths can disagree if either has a bug.
+``battery_masks`` is the one helper that reads the library: the entropy masks
+a sweep cell evaluates.
 """
 
 import math
@@ -78,3 +80,16 @@ def brute_bayes_accuracy(joint, prefix, target):
         kp = key[:-1]
         best[kp] = max(best.get(kp, 0.0), p)
     return sum(best.values())
+
+
+def battery_masks(n, identical):
+    """The masks of a sweep cell's one ``mi_rows`` matrix per regime: the
+    battery plan's sides, then both harmony objectives' score pairs."""
+    from harmonia.information import _columns
+    from harmonia.placement import Objective, _score_pairs
+    from harmonia.sweep import battery_plan
+
+    plan = battery_plan(n, identical)
+    pairs = [pair for objective in (Objective.HEAD_PREDICTABILITY, Objective.DEPENDENT_PREDICTABILITY)
+             for pairs in _score_pairs(objective, n, None, tuple(range(1, n + 1))) for pair in pairs]
+    return _columns(tuple([e.lhs for e in plan] + [e.rhs for e in plan] + pairs))[0]

@@ -567,6 +567,28 @@ def test_extreme_concentrations_exit_2_promptly():
     assert done.stderr.count("error: ") == len(argvs)
 
 
+def test_no_command_imports_numpy_ma(tmp_path):
+    """``numpy.ma``, which ``np.unique`` imports lazily, costs every run memory;
+    a sweep, ``verify --input``, ``profile`` and ``sample --score-k`` run
+    without it, in one child process."""
+    model = tmp_path / "model.json"
+    save_model(random_model(ModelSpec(n=3, head_size=3, dep_sizes=2, seed=5)), model)
+    out = str(tmp_path / "out.csv")
+    argvs = [["verify", "--n", "2,3", "--models", "2", "--no-timestamp", "--out", out],
+             ["verify", "--input", str(model), "--no-timestamp", "--out", out],
+             ["profile", str(model), "--out", out],
+             ["sample", str(model), "--count", "100", "--score-k", "2", "--out", out]]
+    script = "import json, sys\nfrom harmonia.cli import main\n" \
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n" \
+             "print(json.dumps([codes, 'numpy.ma' in sys.modules]))"
+    src = str(Path(harmonia.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert json.loads(done.stdout) == [[0, 0, 0, 0], False], done.stderr
+
+
 # -- profile --------------------------------------------------------------------------
 
 

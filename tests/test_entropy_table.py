@@ -226,9 +226,9 @@ def test_batched_entropies_equal_single_model_ones_bit_for_bit(
     on every mask of the compiled plan, the bits of the model's own product;
     spiky rows put zero cells in some of the batch's products."""
     from harmonia.distributions import memoise_entropies
-    from harmonia.sweep import _compiled, battery_plan
+    from oracles import battery_masks
 
-    masks = _compiled(n, battery_plan(n, identical))[1]
+    masks = battery_masks(n, identical)
     specs = [ModelSpec(n=n, head_size=head_size, dep_sizes=dep_size, seed=seed,
                        concentration=concentration, identical_channels=identical)
              for seed in range(20)]

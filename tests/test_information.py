@@ -1,5 +1,7 @@
 """Entropy, mutual information, conditional MI, chain rule, Markov tests."""
 
+import itertools
+import json
 import math
 
 import numpy as np
@@ -26,8 +28,11 @@ from harmonia.information import (
     direct_mi_of,
     entropy,
     is_markov_chain,
+    mi_of,
+    mi_rows,
     to_bits,
 )
+from harmonia.modelio import load_joint, save_joint
 from oracles import brute_cmi, brute_entropy, brute_mi
 
 LN2 = math.log(2.0)
@@ -290,3 +295,83 @@ def test_data_processing_gap_rejects_non_chains():
 def test_to_bits():
     assert to_bits(LN2) == pytest.approx(1.0, abs=1e-15)
     assert to_bits(0.0) == 0.0
+
+
+# -- mi_rows: the batched evaluator -------------------------------------------------
+
+
+def every_side(n):
+    """Every (x, y) and (x, y, z) on head, dep1..n: each axis in X, Y, Z or none."""
+    sides = []
+    for roles in itertools.product(range(4), repeat=n + 1):
+        x, y, z = (sum(1 << axis for axis, r in enumerate(roles) if r == role) for role in (1, 2, 3))
+        sides.append((x, y, z) if z else (x, y))
+    return sides
+
+
+def assert_rows_are_mi_of(rows, fresh, sides):
+    """``rows`` is ``mi_of`` on ``fresh`` sources, bit for bit, as Python floats."""
+    assert len(rows) == len(fresh)
+    for row, source in zip(rows, fresh):
+        assert [type(value) for value in row] == [float] * len(sides)
+        assert row == [mi_of(source, *side) for side in sides]
+
+
+@pytest.mark.parametrize("identical", [True, False])
+@pytest.mark.parametrize("n, head_size, dep_size, concentration, zeros", [
+    (1, 2, 3, 1.0, False), (1, 1, 1, 1.0, False), (2, 1, 3, 1.0, False), (2, 3, 1, 0.02, False),
+    (3, 1, 3, 0.3, False), (3, 3, 3, 0.01, True), (4, 3, 2, 1.0, False), (4, 5, 5, 0.02, True),
+])
+def test_mi_rows_is_mi_of_on_a_batch_of_models(n, head_size, dep_size, concentration, zeros,
+                                               identical):
+    """A batch of 20 models, against scalar ``mi_of`` on fresh copies that
+    memoise each entropy on their own, on every side of n dependents."""
+    specs = [ModelSpec(n=n, head_size=head_size, dep_sizes=dep_size, seed=seed,
+                       concentration=concentration, identical_channels=identical)
+             for seed in range(20)]
+    batch = [random_model(spec) for spec in specs]
+    assert zeros == any(build_joint(model).probs.min() == 0.0 for model in batch)
+    sides = every_side(n)
+    assert_rows_are_mi_of(mi_rows(batch, sides), [random_model(spec) for spec in specs], sides)
+
+
+def test_mi_rows_is_mi_of_on_joint_tables(tmp_path):
+    """The counterexample joint, a random joint and that joint read from a file
+    that lists its axes in another order, in one call."""
+    canonical, permuted = random_joint(3), tmp_path / "permuted.json"
+    save_joint(canonical, permuted)
+    document = json.loads(permuted.read_text())
+    order = (2, 0, 3, 1)  # dep2, head, dep3, dep1
+    document["variables"] = [document["variables"][a] for a in order]
+    document["alphabets"] = [document["alphabets"][a] for a in order]
+    document["probabilities"] = np.transpose(canonical.probs, order).tolist()
+    permuted.write_text(json.dumps(document))
+    for sources, fresh, n in (
+        ([correlated_pair_counterexample()], [correlated_pair_counterexample()], 2),
+        ([load_joint(permuted), canonical], [load_joint(permuted), random_joint(3)], 3),
+    ):
+        sides = every_side(n)
+        assert_rows_are_mi_of(mi_rows(sources, sides), fresh, sides)
+
+
+@pytest.mark.parametrize("source", [random_model(ModelSpec(n=2, seed=1)),
+                                    correlated_pair_counterexample()], ids=["model", "joint"])
+def test_mi_rows_on_no_side_and_on_the_zero_side(source):
+    """No side gives an empty row per source; ``(0, 0)`` is exactly 0.0."""
+    assert mi_rows([source], []) == [[]]
+    assert mi_rows([source, source], ()) == [[], []]
+    assert mi_rows([source], [(0, 0)]) == [[0.0]]
+    assert mi_rows([source], [(0, 0), (1, 2), (0, 0, 1)]) == [[0.0, mi_of(source, 1, 2), 0.0]]
+
+
+@pytest.mark.parametrize("make", [lambda: random_model(ModelSpec(n=2, seed=1)),
+                                  correlated_pair_counterexample], ids=["model", "joint"])
+def test_mi_rows_refuses_a_side_past_the_axes(make):
+    """A side with an axis the source does not have is refused, as ``mi_of``
+    refuses it, and leaves no entropy behind that a later query would read."""
+    source = make()
+    with pytest.raises(ValidationError, match="axes"):
+        mi_rows([source], [(1, 2), (1 << 5, 1)])
+    with pytest.raises(ValidationError, match="axes"):
+        mi_of(source, 1 << 5, 1)
+    assert mi_rows([source], [(1, 2)]) == [[mi_of(make(), 1, 2)]]

@@ -39,9 +39,11 @@ from harmonia.placement import (
     remainder_relation_checks,
     verify_irrelevance,
     verify_pending_theorem,
+    verify_remainder_theorem,
 )
 import harmonia.distributions
 import harmonia.information
+import harmonia.placement
 import harmonia.sweep
 from harmonia.sweep import (
     CSV_HEADER,
@@ -56,7 +58,7 @@ from harmonia.sweep import (
     write_witnesses,
 )
 
-from oracles import brute_mi
+from oracles import battery_masks, brute_mi
 
 SMALL = RunConfig(
     sweep_size=4,
@@ -226,7 +228,7 @@ def test_every_reversed_inequality_fails_on_a_seeded_model(identical):
             model = random_model(ModelSpec(n=n, head_size=3, dep_sizes=3, seed=seed,
                                            concentration=concentration,
                                            identical_channels=identical))
-            caught |= {c.name for c in _evaluate(model, mutants, 1e-9) if not c.holds}
+            caught |= {c.name for c in _evaluate([model], mutants, 1e-9)[0][0] if not c.holds}
         assert sorted({e.name for e in mutants} - caught) == [], n
 
 
@@ -474,7 +476,7 @@ def test_plan_harmony_and_profiles_never_build_the_dense_joint(monkeypatch, iden
     monkeypatch.setattr(harmonia.distributions, "build_joint", refuse)
     model = random_model(ModelSpec(n=4, head_size=3, dep_sizes=2, seed=7,
                                    identical_channels=identical))
-    checks = _evaluate(model, battery_plan(4, identical), 1e-9)
+    checks = _evaluate([model], battery_plan(4, identical), 1e-9)[0][0]
     assert checks and all(check.holds for check in checks)
     for objective, k in ((Objective.HEAD_PREDICTABILITY, None),
                          (Objective.DEPENDENT_PREDICTABILITY, None),
@@ -717,7 +719,7 @@ def test_a_sweep_makes_one_product_per_batch_and_dependent_set(monkeypatch):
     config = RunConfig(sweep_size=6, n_values=(3,), head_sizes=(2,), dep_sizes=(3,), seed=3)
     calls = _recorded_products(monkeypatch)
     run_sweep(config)
-    sets = {identical: {mask >> 1 for mask in harmonia.sweep._compiled(3, battery_plan(3, identical))[1]}
+    sets = {identical: {mask >> 1 for mask in battery_masks(3, identical)}
             for identical in (True, False)}
     batched = [(models, tables) for models, tables, _ in calls if models is not None]
     assert len(batched) == len(sets[True]) + len(sets[False]) == 2 * 2 ** 3
@@ -732,9 +734,74 @@ def test_the_compiled_masks_serve_the_chains_and_the_identity_rows(identical):
     the compiled plan computes, so after the batch they are lookups."""
     for n in range(1, 9):
         plan = battery_plan(n, identical)
-        sets = {mask | 1 for mask in harmonia.sweep._compiled(n, plan)[1]}
+        sets = {mask | 1 for mask in battery_masks(n, identical)}
         everything = (1 << n + 1) - 1
         read = [1, everything, everything & ~2, 2 | 1, everything & ~3]
         for x, y, z in (e.chain for e in plan if e.chain):
             read += [x | y, z | y, x | y | z, y]
         assert {mask | 1 for mask in read} <= sets, n
+
+
+def test_a_second_battery_recomputes_no_memoised_entropy(monkeypatch):
+    """``memoise_entropies`` skips a mask that every model holds: a second
+    battery on the same n = 8 model makes one product, the identity rows'
+    dense joint, where it made one per dependent set."""
+    model = random_model(ModelSpec(n=8, head_size=5, dep_sizes=5, seed=1))
+    expected = theorem_battery(model)
+    calls = _recorded_products(monkeypatch)
+    assert theorem_battery(model) == expected
+    assert [(models, tables) for models, tables, _ in calls] == [(None, 8)]
+
+
+# -- one evaluator ---------------------------------------------------------------------
+
+
+def _counted_mi_rows(monkeypatch):
+    """Record the number of sources of every call of the primitive where
+    ``placement`` binds it."""
+    calls = []
+
+    def counted(sources, sides, original=harmonia.information.mi_rows):
+        calls.append(len(sources))
+        return original(sources, sides)
+
+    monkeypatch.setattr(harmonia.placement, "mi_rows", counted)
+    return calls
+
+
+def test_each_checker_score_and_profile_is_one_call_of_the_primitive(monkeypatch):
+    """Every plan side, head-position score and profile value of one source
+    comes from a single ``mi_rows`` call; ``placement`` has no scalar path."""
+    model = random_model(ModelSpec(n=4, head_size=3, dep_sizes=2, seed=2))
+    joint = correlated_pair_counterexample()
+    calls = _counted_mi_rows(monkeypatch)
+    for evaluate in (lambda: verify_pending_theorem(model, 2, 3),
+                     lambda: verify_irrelevance(model, 1, 3),
+                     lambda: lattice_report(model, 2),
+                     lambda: verify_remainder_theorem(model),
+                     lambda: remainder_relation_checks(joint),
+                     lambda: optimal_head_position(model, "dependent", aggregate="mean"),
+                     lambda: optimal_head_position(model, "remainder", k=2, dependent_order=(2, 1, 4, 3)),
+                     lambda: placement_profile(model, Placement(n=4, head_position=3)),
+                     lambda: placement_profile(joint, Placement(n=2, head_position=2))):
+        calls.clear()
+        evaluate()
+        assert calls == [1]
+    assert not hasattr(harmonia.placement, "mi_of")
+
+
+def test_a_sweep_calls_the_primitive_once_per_cell_and_regime(monkeypatch):
+    """Two cells, each with two models per regime: four calls of two models,
+    and the only scalar MI of the sweep is each model's two symmetry rows."""
+    config = RunConfig(sweep_size=4, n_values=(3,), head_sizes=(2,), dep_sizes=(2, 3), seed=3)
+    calls = _counted_mi_rows(monkeypatch)
+    scalar = []
+
+    def counted(*args, original=harmonia.information.mi_of):
+        scalar.append(args[1:])
+        return original(*args)
+
+    monkeypatch.setattr(harmonia.sweep, "mi_of", counted)
+    assert all(check.holds for _, _, check in run_sweep(config).rows)
+    assert calls == [2] * 4
+    assert len(scalar) == 2 * config.model_count

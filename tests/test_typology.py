@@ -3,7 +3,13 @@
 import pytest
 
 from harmonia import ValidationError
-from harmonia.typology import PERCENT_TOL, TypologyRow, load_typology, typology_report
+from harmonia.typology import (
+    PERCENT_TOL,
+    TypologyRow,
+    bundled_dataset_text,
+    load_typology,
+    typology_report,
+)
 
 GOOD_CSV = """\
 # a comment line
@@ -29,6 +35,15 @@ def test_bundled_dataset_loads():
         ("hammarstrom", "languages"),
         ("hammarstrom", "families"),
     }
+
+
+def test_a_byte_order_mark_reads_like_none(tmp_path):
+    """The bundled data saved as ``utf-8-sig``, as some spreadsheets save CSV,
+    gives the bundled rows: the mark does not hide the leading comment line."""
+    path = tmp_path / "bom.csv"
+    path.write_text(bundled_dataset_text(), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_typology(path) == load_typology()
 
 
 def test_bundled_report_totals_and_flags():
